@@ -13,24 +13,31 @@
 //!   (the machine-reset-only numbers live in the `campaign_reset` bench
 //!   on the NE2000 harness);
 //! * `mutant_pipeline/*` — the full per-mutant pipeline including the
-//!   compile: `CampaignMachine::run` (pre-lexed include cache + VM) vs
+//!   compile: `CampaignMachine::run` (stub-header prelude + VM) vs
 //!   compile-from-scratch + tree-walker;
 //! * `driver_compile/*` — front-end cost, with and without the include
-//!   cache.
+//!   cache;
+//! * `cdevil_compile_lower/*` — what one CDevil mutant costs to compile
+//!   and lower, averaged over a fixed sample of real mutants of the IDE
+//!   and busmouse drivers: the pre-lexed include-cache path
+//!   (`compile_with_cache` + `to_bytecode`) vs the prelude path
+//!   (`compile_with_prelude`).
 //!
 //! A full (non `--test`) run records the numbers and the VM-vs-interpreter
 //! speedups under the `boot` key of `BENCH_dispatch.json` (shared with the
 //! other benches via `criterion::update_json_section`).
 
 use criterion::{criterion_group, Criterion};
-use devil_drivers::ide;
+use devil_drivers::{busmouse, ide};
 use devil_kernel::boot::{
     boot_ide_compiled, boot_ide_interp, standard_ide_machine, CampaignMachine, Outcome,
     DEFAULT_FUEL,
 };
 use devil_kernel::fs;
 use devil_minic::pp::IncludeCache;
-use devil_minic::Program;
+use devil_minic::{compile_with_prelude, Prelude, Program};
+use devil_mutagen::c::{CMutationModel, CStyle};
+use devil_mutagen::sample;
 
 fn compile_c() -> Program {
     devil_minic::compile(ide::IDE_C_FILE, ide::IDE_C_DRIVER).unwrap()
@@ -104,7 +111,7 @@ fn bench_mutant_boot(c: &mut Criterion) {
 }
 
 /// Full per-mutant pipeline including the front end, CDevil flavour (the
-/// generated header dominates compile time, so the include cache matters).
+/// generated header dominates compile time, so the prelude matters).
 fn bench_mutant_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("mutant_pipeline");
     g.sample_size(10);
@@ -131,7 +138,7 @@ fn bench_mutant_pipeline(c: &mut Criterion) {
         });
     });
 
-    // New path: CampaignMachine (include cache + lowering + VM boot).
+    // New path: CampaignMachine (prelude compile + VM boot).
     let mut machine = CampaignMachine::new(&files, DEFAULT_FUEL);
     g.bench_function("cdevil_campaign_machine", |b| {
         b.iter(|| {
@@ -166,6 +173,48 @@ fn bench_compile(c: &mut Criterion) {
     g.finish();
 }
 
+/// Mutants of a CDevil driver per `cdevil_compile_lower` sample.
+const COMPILE_SAMPLE: usize = 64;
+
+/// Per-mutant compile + lower of the CDevil drivers: each iteration
+/// compiles the next mutant of a fixed seeded sample (compile-rejected
+/// ones included, as in a campaign), through the include cache and
+/// through the prelude.
+fn bench_cdevil_compile_lower(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cdevil_compile_lower");
+    let drivers = [
+        ("ide", ide::IDE_CDEVIL_FILE, ide::IDE_CDEVIL_DRIVER, ide::cdevil_includes()),
+        ("busmouse", busmouse::BM_CDEVIL_FILE, busmouse::BM_CDEVIL_DRIVER, busmouse::bm_includes()),
+    ];
+    for (label, file, source, includes) in drivers {
+        let incs: Vec<(&str, &str)> =
+            includes.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+        let texts: Vec<&str> = incs.iter().map(|(_, t)| *t).collect();
+        let all = CMutationModel::new(source, &texts, CStyle::CDevil).mutants();
+        let fraction = COMPILE_SAMPLE as f64 / all.len() as f64;
+        let mutants = sample(all, fraction, 0xde71);
+        let cache = IncludeCache::new(&incs);
+        let mut i = 0;
+        g.bench_function(format!("{label}_include_cache"), |b| {
+            b.iter(|| {
+                i = (i + 1) % mutants.len();
+                devil_minic::compile_with_cache(file, &mutants[i].source, &cache)
+                    .map(|p| p.to_bytecode())
+                    .is_ok()
+            });
+        });
+        let prelude = Prelude::new(file, source, &incs);
+        g.bench_function(format!("{label}_prelude"), |b| {
+            b.iter(|| {
+                i = (i + 1) % mutants.len();
+                compile_with_prelude(&prelude, &mutants[i].source).is_ok()
+            });
+        });
+        assert_eq!(prelude.fallbacks(), 0, "{label}: every sampled mutant takes the prelude");
+    }
+    g.finish();
+}
+
 fn emit_json(c: &mut Criterion) {
     if c.is_test_mode() {
         return;
@@ -184,15 +233,21 @@ fn emit_json(c: &mut Criterion) {
     let compile_uncached = criterion::ns_per_iter(rs, "driver_compile/cdevil_driver");
     let compile_cached =
         criterion::ns_per_iter(rs, "driver_compile/cdevil_driver_cached_includes");
+    let ide_cache = criterion::ns_per_iter(rs, "cdevil_compile_lower/ide_include_cache");
+    let ide_prelude = criterion::ns_per_iter(rs, "cdevil_compile_lower/ide_prelude");
+    let bm_cache = criterion::ns_per_iter(rs, "cdevil_compile_lower/busmouse_include_cache");
+    let bm_prelude = criterion::ns_per_iter(rs, "cdevil_compile_lower/busmouse_prelude");
     let entries = criterion::results_json(rs);
     let section = format!(
-        "{{\"workload\": {{\"boot\": \"full simulated IDE boot, tree-walking interpreter vs bytecode VM\", \"mutant_boot\": \"campaign per-mutant unit: snapshot restore + boot of a precompiled driver\", \"mutant_pipeline\": \"per-mutant incl. front end: scratch compile + tree-walk vs CampaignMachine (include cache + VM)\", \"driver_compile\": \"front-end cost, plus bytecode lowering and the pre-lexed include cache\"}}, \"results\": {entries}, \"speedup\": {{\"boot_c_vm_vs_interp\": {:.2}, \"boot_cdevil_vm_vs_interp\": {:.2}, \"per_mutant_boot_vm_vs_interp\": {:.2}, \"per_mutant_boot_c_vm_vs_interp\": {:.2}, \"per_mutant_pipeline_new_vs_old\": {:.2}, \"cdevil_compile_cached_includes\": {:.2}}}}}",
+        "{{\"workload\": {{\"boot\": \"full simulated IDE boot, tree-walking interpreter vs bytecode VM\", \"mutant_boot\": \"campaign per-mutant unit: snapshot restore + boot of a precompiled driver\", \"mutant_pipeline\": \"per-mutant incl. front end: scratch compile + tree-walk vs CampaignMachine (stub-header prelude + VM)\", \"driver_compile\": \"front-end cost, plus bytecode lowering and the pre-lexed include cache\", \"cdevil_compile_lower\": \"per-mutant compile + lower over a fixed sample of {COMPILE_SAMPLE} CDevil mutants: include cache (compile_with_cache + to_bytecode) vs prelude (compile_with_prelude)\"}}, \"results\": {entries}, \"speedup\": {{\"boot_c_vm_vs_interp\": {:.2}, \"boot_cdevil_vm_vs_interp\": {:.2}, \"per_mutant_boot_vm_vs_interp\": {:.2}, \"per_mutant_boot_c_vm_vs_interp\": {:.2}, \"per_mutant_pipeline_new_vs_old\": {:.2}, \"cdevil_compile_cached_includes\": {:.2}, \"ide_cdevil_compile_lower_prelude_vs_include_cache\": {:.2}, \"busmouse_cdevil_compile_lower_prelude_vs_include_cache\": {:.2}}}}}",
         boot_c_interp / boot_c_vm,
         boot_cd_interp / boot_cd_vm,
         mut_interp / mut_vm,
         mut_c_interp / mut_c_vm,
         pipe_old / pipe_new,
         compile_uncached / compile_cached,
+        ide_cache / ide_prelude,
+        bm_cache / bm_prelude,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
     match criterion::update_json_section(path, "boot", &section) {
@@ -204,7 +259,14 @@ fn emit_json(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_boot, bench_mutant_boot, bench_mutant_pipeline, bench_compile);
+criterion_group!(
+    benches,
+    bench_boot,
+    bench_mutant_boot,
+    bench_mutant_pipeline,
+    bench_compile,
+    bench_cdevil_compile_lower
+);
 
 fn main() {
     let mut c = Criterion::from_args();

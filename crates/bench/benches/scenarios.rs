@@ -6,8 +6,8 @@
 //! is compiled: snapshot-restore the scenario's machine (the IDE
 //! scenarios ride the platter's dirty-sector journal) and drive the full
 //! workload through the bytecode VM. A second group measures the full
-//! per-mutant pipeline (compile against the shared include cache + run)
-//! for each scenario's heaviest driver.
+//! per-mutant pipeline (compile through the driver's shared prelude +
+//! run) for each scenario's heaviest driver.
 //!
 //! A full (non `--test`) run records the numbers under the `scenarios`
 //! key of `BENCH_dispatch.json` (shared with the other benches via
@@ -17,7 +17,7 @@ use criterion::{criterion_group, Criterion};
 use devil_drivers::corpus::{build_scenario, scenario_catalog};
 use devil_kernel::boot::{Outcome, DEFAULT_FUEL};
 use devil_kernel::scenario::ScenarioMachine;
-use devil_minic::pp::IncludeCache;
+use devil_minic::Prelude;
 
 fn bench_scenarios(c: &mut Criterion) {
     let mut g = c.benchmark_group("scenario_mutant");
@@ -45,21 +45,21 @@ fn bench_scenarios(c: &mut Criterion) {
 
     // Full per-mutant pipeline (compile + run) on each scenario's last
     // driver variant — the CDevil flavour where one exists, i.e. the
-    // pairing whose compile the shared include cache accelerates.
+    // pairing whose compile the shared prelude accelerates.
     let mut g = c.benchmark_group("scenario_pipeline");
     g.sample_size(10);
     for case in scenario_catalog() {
         let v = case.drivers.last().expect("every scenario has drivers");
         let incs: Vec<(&str, &str)> =
             v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-        let cache = IncludeCache::new(&incs);
+        let prelude = Prelude::new(v.file, v.source, &incs);
         let mut machine = ScenarioMachine::with_scenario(
             build_scenario(case.scenario).expect("catalog scenario builds"),
             DEFAULT_FUEL,
         );
         g.bench_function(format!("{}_{}", case.scenario, v.label), |b| {
             b.iter(|| {
-                let (outcome, detail) = machine.run_cached(v.file, v.source, &cache, None, None);
+                let (outcome, detail) = machine.run_cached(v.source, &prelude, None, None);
                 assert_eq!(outcome, Outcome::Boot, "{detail}");
             });
         });
@@ -78,7 +78,7 @@ fn emit_json(c: &mut Criterion) {
     let mouse = criterion::ns_per_iter(rs, "scenario_mutant/mouse-stream_busmouse_c");
     let ne = criterion::ns_per_iter(rs, "scenario_mutant/ne2000-stress_ne2000_c");
     let section = format!(
-        "{{\"workload\": {{\"scenario_mutant\": \"per-mutant unit per scenario: snapshot restore (dirty-journal on IDE) + full workload on the bytecode VM, precompiled driver\", \"scenario_pipeline\": \"per-mutant incl. cached-include compile, per scenario\"}}, \"results\": {entries}, \"per_mutant_ns\": {{\"ide_boot_c\": {boot_c:.0}, \"ide_stress_c\": {stress_c:.0}, \"mouse_stream_c\": {mouse:.0}, \"ne2000_stress_c\": {ne:.0}}}}}"
+        "{{\"workload\": {{\"scenario_mutant\": \"per-mutant unit per scenario: snapshot restore (dirty-journal on IDE) + full workload on the bytecode VM, precompiled driver\", \"scenario_pipeline\": \"per-mutant incl. the compile through the driver's prelude, per scenario\"}}, \"results\": {entries}, \"per_mutant_ns\": {{\"ide_boot_c\": {boot_c:.0}, \"ide_stress_c\": {stress_c:.0}, \"mouse_stream_c\": {mouse:.0}, \"ne2000_stress_c\": {ne:.0}}}}}"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
     match criterion::update_json_section(path, "scenarios", &section) {

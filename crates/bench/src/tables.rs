@@ -244,7 +244,8 @@ fn variant_headers(v: &DriverVariant, flavor: StubFlavor) -> Vec<(String, String
 
 /// Run one `(scenario, driver)` campaign through the snapshot-reset
 /// engine: one `ScenarioMachine` per worker thread, each mutant evaluated
-/// as restore → compile → drive → classify. This is the generalisation of
+/// as compile → restore → drive → classify (the compile through the
+/// worker's stub-header prelude). This is the generalisation of
 /// the old boot-only Table 3/4 runner to the whole scenario catalog.
 pub fn scenario_campaign(
     scenario: &str,

@@ -111,18 +111,6 @@ pub fn find_variant(scenario: &str, label: &str) -> Option<DriverVariant> {
     find_case(scenario)?.drivers.into_iter().find(|v| v.label == label)
 }
 
-/// The include headers a driver file compiles against, looked up across
-/// the whole catalog by file name (`None` for unknown files). Service
-/// workers use this to build one shared pre-lexed `IncludeCache` per
-/// driver file, whatever scenario a request pairs it with.
-pub fn driver_headers(file: &str) -> Option<Vec<(String, String)>> {
-    scenario_catalog()
-        .into_iter()
-        .flat_map(|c| c.drivers)
-        .find(|v| v.file == file)
-        .map(|v| v.headers)
-}
-
 /// The IDE driver pair — shared by every scenario that speaks the
 /// `ide_probe`/`ide_read`/`ide_write` contract.
 fn ide_drivers() -> Vec<DriverVariant> {
@@ -237,13 +225,10 @@ mod tests {
                 let variant = find_variant(case.scenario, v.label)
                     .expect("driver label resolves");
                 assert_eq!(variant.file, v.file);
-                let headers = driver_headers(v.file).expect("driver file resolves");
-                assert_eq!(headers.len(), v.headers.len());
             }
         }
         assert!(find_case("no-such-scenario").is_none());
         assert!(find_variant("ide-boot", "no-such-driver").is_none());
-        assert!(driver_headers("no_such_file.c").is_none());
     }
 
     #[test]

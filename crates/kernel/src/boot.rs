@@ -139,7 +139,8 @@ pub fn run_mutant(
 ///
 /// Builds the standard experiment machine **once** ([`standard_ide_machine`]
 /// plus `mkfs`), captures its pristine state as a snapshot, and then
-/// evaluates each mutant as *restore → compile → boot → classify* — the
+/// evaluates each mutant as *compile → restore → boot → classify* — the
+/// compile goes through the machine's stub-header prelude, and the
 /// per-mutant reset is a journal-assisted memcpy instead of a machine
 /// reconstruction. Use one `CampaignMachine` per worker thread, e.g. as
 /// the workspace of a `devil_mutagen::Campaign`:

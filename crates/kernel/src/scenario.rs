@@ -15,10 +15,16 @@
 //!   oracle), so every scenario gets VM-vs-interpreter differential
 //!   coverage for free;
 //! * a [`ScenarioMachine`] owns one built machine plus its pristine
-//!   [`Snapshot`] and evaluates each mutant as *restore → compile →
+//!   [`Snapshot`] and evaluates each mutant as *compile → restore →
 //!   drive → classify* — the reset-per-mutant lifecycle documented in
-//!   `devil_hwsim::snap`. One `ScenarioMachine` per campaign worker is
-//!   the intended shape (see `devil_mutagen::Campaign`).
+//!   `devil_hwsim::snap`. A driver with stub headers compiles through a
+//!   [`Prelude`]: everything up to its last `#include` is preprocessed,
+//!   parsed, checked and lowered once, and each mutant compiles only the
+//!   driver text after it (a mutant the prelude cannot prove equivalent —
+//!   an edit before the boundary, a driver `#define` of a name the
+//!   headers expand, ... — takes the full compile instead). One
+//!   `ScenarioMachine` per campaign worker is the intended shape (see
+//!   `devil_mutagen::Campaign`).
 //!
 //! Every run classifies into the same paper taxonomy
 //! ([`Outcome`](crate::boot::Outcome), §4.2 cases 1–7): a `panic` with a
@@ -65,10 +71,9 @@ use crate::kapi::MachineHost;
 use devil_hwsim::snap::Snapshot;
 use devil_hwsim::IoSpace;
 use devil_minic::interp::{Interpreter, RunError};
-use devil_minic::pp::IncludeCache;
 use devil_minic::value::Value;
 use devil_minic::vm::Vm;
-use devil_minic::{CompiledProgram, Coverage, Program};
+use devil_minic::{compile_with_prelude, CompiledProgram, Coverage, Prelude, Program};
 pub use devil_minic::Deadline;
 use std::fmt;
 
@@ -606,9 +611,15 @@ pub fn refine_dead_code(
     file_name: &str,
     dead_site: Option<u32>,
 ) -> (Outcome, Detail) {
+    refine(report, program.unit.file_id(file_name), dead_site)
+}
+
+/// [`refine_dead_code`] given the mutated file's id (`None` when it did
+/// not participate).
+fn refine(report: ScenarioReport, file_id: Option<u16>, dead_site: Option<u32>) -> (Outcome, Detail) {
     if report.outcome == Outcome::Boot {
         if let Some(line) = dead_site {
-            if let Some(fid) = program.unit.file_id(file_name) {
+            if let Some(fid) = file_id {
                 let packed = devil_minic::token::pack_line(fid, line);
                 if !report.coverage.contains(packed) {
                     return (Outcome::DeadCode, Detail::Borrowed("mutated line never executed"));
@@ -648,10 +659,13 @@ pub fn run_mutant_in<S: Scenario>(
 ///
 /// Builds the scenario's machine **once** ([`Scenario::build`]), captures
 /// its pristine state as a [`Snapshot`], and then evaluates each mutant as
-/// *restore → compile → drive → classify* — the per-mutant reset is a
-/// (journal-assisted) memcpy instead of a machine reconstruction. Use one
-/// `ScenarioMachine` per worker thread, e.g. as the workspace of a
-/// `devil_mutagen::Campaign`:
+/// *compile → restore → drive → classify* — the per-mutant reset is a
+/// (journal-assisted) memcpy instead of a machine reconstruction. A
+/// driver with stub headers compiles through a [`Prelude`]: the headers
+/// (and any driver text before the last `#include`) are preprocessed,
+/// parsed, checked and lowered once, and each mutant compiles only the
+/// driver text after them. Use one `ScenarioMachine` per worker thread,
+/// e.g. as the workspace of a `devil_mutagen::Campaign`:
 ///
 /// ```ignore
 /// let outcomes = Campaign::new(
@@ -669,11 +683,11 @@ pub struct ScenarioMachine<S: Scenario> {
     io: IoSpace,
     pristine: Snapshot,
     fuel: u64,
-    /// Pre-lexed include headers, built lazily on the first mutant that
-    /// compiles against a given include set and reused while the set is
-    /// unchanged — which in a mutation campaign is every mutant, since
-    /// only the driver file is spliced.
-    include_cache: Option<IncludeCache>,
+    /// The prelude [`ScenarioMachine::run`] compiles through: built from
+    /// the first mutant with headers (its own prefix, so that compile
+    /// costs one full compile) and kept while the file and header set
+    /// stay the same — which in a campaign is every mutant.
+    prelude: Option<Prelude>,
 }
 
 impl<S: Scenario> ScenarioMachine<S> {
@@ -681,7 +695,7 @@ impl<S: Scenario> ScenarioMachine<S> {
     pub fn with_scenario(mut scenario: S, fuel: u64) -> Self {
         let io = scenario.build();
         let pristine = io.snapshot();
-        ScenarioMachine { scenario, io, pristine, fuel, include_cache: None }
+        ScenarioMachine { scenario, io, pristine, fuel, prelude: None }
     }
 
     /// The scenario this machine runs.
@@ -689,12 +703,18 @@ impl<S: Scenario> ScenarioMachine<S> {
         &self.scenario
     }
 
-    /// Evaluate one mutant: compile it (headers served from the pre-lexed
-    /// include cache), rewind the machine to its pristine snapshot, drive
-    /// the scenario through the bytecode VM, and classify — including the
-    /// dead-code refinement. Produces exactly the same classification as
-    /// the rebuild-per-mutant path ([`run_mutant_in`]), without rebuilding
-    /// anything.
+    /// The prelude this machine's [`ScenarioMachine::run`] compiles
+    /// through, once a mutant with headers has built it.
+    pub fn prelude(&self) -> Option<&Prelude> {
+        self.prelude.as_ref()
+    }
+
+    /// Evaluate one mutant: compile it (through the machine's prelude
+    /// when it has headers), rewind the machine to its pristine snapshot,
+    /// drive the scenario through the bytecode VM, and classify —
+    /// including the dead-code refinement. Produces exactly the same
+    /// classification as the rebuild-per-mutant path ([`run_mutant_in`]),
+    /// without rebuilding anything.
     pub fn run(
         &mut self,
         file_name: &str,
@@ -703,33 +723,33 @@ impl<S: Scenario> ScenarioMachine<S> {
         dead_site: Option<u32>,
     ) -> (Outcome, Detail) {
         chaos_check(source);
-        let program = match self.compile_mutant(file_name, source, includes) {
-            Ok(p) => p,
+        let compiled = match self.compile_mutant(file_name, source, includes) {
+            Ok(c) => c,
             Err(e) => return (Outcome::CompileCheck, e.to_string().into()),
         };
-        self.drive_and_classify(&program, file_name, dead_site, None)
+        self.drive_and_classify(&compiled, file_name, dead_site, None)
     }
 
-    /// Like [`ScenarioMachine::run`], compiling against an externally
-    /// shared [`IncludeCache`], and bounding the drive by an optional
-    /// wall-clock [`Deadline`] (an overrun classifies as
-    /// [`Outcome::Deadline`]). The cache is `Sync`: build it once per
-    /// campaign and let every worker's machine borrow it, so the header
-    /// set is lexed once per *campaign* instead of once per worker.
+    /// Like [`ScenarioMachine::run`] for a mutant of `prelude`'s driver,
+    /// compiling through that externally shared prelude, and bounding the
+    /// drive by an optional wall-clock [`Deadline`] (an overrun
+    /// classifies as [`Outcome::Deadline`]). The prelude is `Sync`: build
+    /// it once per driver and let every worker's machine borrow it, so
+    /// the headers are compiled once per *campaign* instead of once per
+    /// worker.
     pub fn run_cached(
         &mut self,
-        file_name: &str,
         source: &str,
-        cache: &IncludeCache,
+        prelude: &Prelude,
         dead_site: Option<u32>,
         deadline: Option<Deadline>,
     ) -> (Outcome, Detail) {
         chaos_check(source);
-        let program = match devil_minic::compile_with_cache(file_name, source, cache) {
-            Ok(p) => p,
+        let compiled = match compile_with_prelude(prelude, source) {
+            Ok(c) => c,
             Err(e) => return (Outcome::CompileCheck, e.to_string().into()),
         };
-        self.drive_and_classify(&program, file_name, dead_site, deadline)
+        self.drive_and_classify(&compiled, prelude.file(), dead_site, deadline)
     }
 
     /// Rewind to pristine and run an already-lowered program, returning
@@ -754,35 +774,36 @@ impl<S: Scenario> ScenarioMachine<S> {
 
     fn drive_and_classify(
         &mut self,
-        program: &Program,
+        compiled: &CompiledProgram,
         file_name: &str,
         dead_site: Option<u32>,
         deadline: Option<Deadline>,
     ) -> (Outcome, Detail) {
-        let report = self.run_compiled_bounded(&program.to_bytecode(), deadline);
-        refine_dead_code(program, report, file_name, dead_site)
+        let report = self.run_compiled_bounded(compiled, deadline);
+        refine(report, compiled.file_id(file_name), dead_site)
     }
 
-    /// Compile one mutant, re-lexing only the spliced driver file when the
-    /// include set is unchanged since the previous mutant.
+    /// Compile one mutant: plain when it has no headers, otherwise
+    /// through the machine's prelude — rebuilt when the file or header
+    /// set changes, or when it has served no mutant yet and this source
+    /// does not share its prefix (a first mutant edited before its last
+    /// `#include` must not key the machine for the whole campaign).
     fn compile_mutant(
         &mut self,
         file_name: &str,
         source: &str,
         includes: &[(&str, &str)],
-    ) -> Result<Program, devil_minic::CError> {
+    ) -> Result<CompiledProgram, devil_minic::CError> {
         if includes.is_empty() {
-            return devil_minic::compile(file_name, source);
+            return devil_minic::compile(file_name, source).map(|p| p.to_bytecode());
         }
-        let reusable = self
-            .include_cache
-            .as_ref()
-            .is_some_and(|c| c.matches(includes));
-        if !reusable {
-            self.include_cache = Some(IncludeCache::new(includes));
+        let stale = self.prelude.as_ref().is_none_or(|p| {
+            !p.matches(file_name, includes) || (p.served() == 0 && !p.shares_prefix(source))
+        });
+        if stale {
+            self.prelude = Some(Prelude::new(file_name, source, includes));
         }
-        let cache = self.include_cache.as_ref().expect("cache just ensured");
-        devil_minic::compile_with_cache(file_name, source, cache)
+        compile_with_prelude(self.prelude.as_ref().expect("prelude just ensured"), source)
     }
 }
 

@@ -65,11 +65,12 @@
 use crate::ast::*;
 use crate::coverage;
 use crate::interp::FaultKind;
-use crate::types::{CType, StructId};
+use crate::types::{CType, StructId, StructTable};
 use crate::value::{Place, Value};
 use crate::Program;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Store-coercion applied when a value lands in a typed object — the
 /// lowered form of `Interpreter::coerce_store` (integer targets truncate,
@@ -99,7 +100,7 @@ impl Coerce {
 
 /// Lowered cast target — just enough of [`CType`] to replicate
 /// `Interpreter::eval`'s cast arm.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CastKind {
     /// Cast to an integer type.
     Int {
@@ -181,7 +182,7 @@ pub(crate) const NO_FIELD: u16 = u16::MAX;
 /// One VM instruction. `line` payloads are packed `(file_id, line)` ids
 /// (see [`crate::token::pack_line`]); `target`s are absolute indices into
 /// the owning function's op vector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Op {
     /// Burn fuel + record coverage for one AST node entry.
     Line(u32),
@@ -342,10 +343,12 @@ pub(crate) enum Op {
 ///    (`Op::CoerceBool`), in that matched order;
 /// 5. consume the value per [`FuseEnd`]: push it, branch on it, store it
 ///    (plain local/global, member field, fresh declaration).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FusedOp {
-    /// Leading `Op::Line` burns, in program order.
-    pub(crate) pre: Box<[u32]>,
+    /// Leading `Op::Line` burns, in program order: the `(start, len)`
+    /// range of [`CompiledProgram`]`::fused_lines` holding them (one pool
+    /// per program, so a fused op owns no allocation of its own).
+    pub(crate) pre: (u32, u32),
     /// How the value under test is produced.
     pub(crate) src: FuseSrc,
     /// First folded binary stage, if any.
@@ -427,7 +430,7 @@ pub(crate) enum FuseEnd {
 }
 
 /// The value-producing head of a [`FusedOp`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FuseSrc {
     /// `Op::LoadLocal` (burns `line`; arrays decay; unset slot faults).
     Local { slot: u16, line: u32 },
@@ -463,7 +466,7 @@ pub(crate) enum FuseSrc {
 
 /// One folded binary stage of a [`FusedOp`] — the `Op::BinConst` (or
 /// `Op::LoadLocal`/`Op::LoadGlobal` + `Op::Bin`) it replaces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FuseStage {
     /// The operator.
     pub(crate) op: BinOp,
@@ -475,7 +478,7 @@ pub(crate) struct FuseStage {
 
 /// Right-hand operand of a [`FuseStage`]; every flavour burns `line`
 /// before the value materialises, exactly like the op it replaces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FuseRhs {
     /// Interned constant (`Op::BinConst`'s `rhs_line` burn).
     Const { cidx: u32, line: u32 },
@@ -492,7 +495,7 @@ pub(crate) enum FuseRhs {
 /// How a global's object is assembled from its evaluated initialisers —
 /// the lowered form of `Interpreter::ensure_globals` (which, unlike local
 /// declarations, stores aggregate items *uncoerced*).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum GFinish {
     /// No initialiser: clone the zero template.
     Zero { template: u32 },
@@ -505,7 +508,7 @@ pub(crate) enum GFinish {
 }
 
 /// A lowered function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BFunc {
     pub(crate) name: String,
     pub(crate) ops: Vec<Op>,
@@ -518,7 +521,7 @@ pub(crate) struct BFunc {
 }
 
 /// A lowered global: initialiser evaluation ops plus assembly recipe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BGlobal {
     pub(crate) name: String,
     pub(crate) ops: Vec<Op>,
@@ -529,7 +532,7 @@ pub(crate) struct BGlobal {
 }
 
 /// One lowered `switch`: first-matching-arm dispatch table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SwitchTable {
     pub(crate) cases: Vec<(i64, u32)>,
     pub(crate) default: Option<u32>,
@@ -544,11 +547,14 @@ pub(crate) struct SwitchTable {
 /// A program lowered to bytecode, ready for [`crate::vm::Vm`].
 ///
 /// Produced by [`lower`] (or [`Program::to_bytecode`]); immutable and
-/// freely shareable across boots of the same mutant.
-#[derive(Debug, Clone)]
+/// freely shareable across boots of the same mutant. Function and global
+/// bodies sit behind [`Arc`], so programs compiled through a
+/// [`crate::Prelude`] share the stub headers' lowered bodies instead of
+/// copying them per mutant.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
-    pub(crate) funcs: Vec<BFunc>,
-    pub(crate) globals: Vec<BGlobal>,
+    pub(crate) funcs: Vec<Arc<BFunc>>,
+    pub(crate) globals: Vec<Arc<BGlobal>>,
     pub(crate) consts: Vec<Value>,
     pub(crate) burn_seqs: Vec<Box<[u32]>>,
     pub(crate) templates: Vec<Box<[Value]>>,
@@ -557,6 +563,8 @@ pub struct CompiledProgram {
     /// Superinstruction descriptors referenced by [`Op::FusedBr`]; empty
     /// until [`fuse`] runs.
     pub(crate) fused: Vec<FusedOp>,
+    /// The leading burns of every fused op ([`FusedOp::pre`]).
+    pub(crate) fused_lines: Vec<u32>,
     /// Per-file maximum source line, for coverage sizing.
     pub(crate) line_bounds: Vec<u32>,
     /// Participating file names (index = `file_id`).
@@ -583,6 +591,12 @@ impl CompiledProgram {
             .map(String::as_str)
             .unwrap_or("<unknown>");
         (name, line)
+    }
+
+    /// The file id assigned to `name`, if it participated in the program
+    /// (the [`crate::ast::Unit::file_id`] of the unit it was lowered from).
+    pub fn file_id(&self, name: &str) -> Option<u16> {
+        self.files.iter().position(|f| f == name).map(|i| i as u16)
     }
 
     /// Number of lowered functions (diagnostics).
@@ -635,38 +649,244 @@ pub fn lower(program: &Program) -> CompiledProgram {
 /// what [`Program::to_bytecode_unfused`] serves as the differential/bench
 /// baseline.
 pub(crate) fn lower_with(program: &Program, inline: bool) -> CompiledProgram {
-    let mut lw = Lower {
-        program,
-        inline,
-        builtin_sigs: crate::check::builtin_signatures(),
-        consts: Vec::new(),
-        int_consts: HashMap::new(),
-        str_consts: HashMap::new(),
-        burn_seqs: Vec::new(),
-        templates: Vec::new(),
-        field_coerces: Vec::new(),
-        switches: Vec::new(),
-        global_names: program.unit.globals().map(|g| g.name.clone()).collect(),
-        ops: Vec::new(),
-        scopes: Vec::new(),
-        ctxs: Vec::new(),
-        next_slot: 0,
-        inline_stack: Vec::new(),
-        resolve_floor: 0,
-    };
-    let globals = program.unit.globals().map(|g| lw.lower_global(g)).collect();
-    let funcs = program.unit.functions().map(|f| lw.lower_function(f)).collect();
-    CompiledProgram {
-        funcs,
-        globals,
-        consts: lw.consts,
-        burn_seqs: lw.burn_seqs,
-        templates: lw.templates,
-        field_coerces: lw.field_coerces,
-        switches: lw.switches,
-        fused: Vec::new(),
-        line_bounds: coverage::line_bounds(&program.unit),
-        files: program.unit.files.clone(),
+    let unit = &program.unit;
+    let mut compiled = CompiledProgram::empty(coverage::line_bounds(unit), unit.files.clone());
+    let symbols =
+        Symbols::new(unit.functions().collect(), unit.globals().collect(), &program.structs, None);
+    lower_items(&mut compiled, &symbols, &unit.items, inline);
+    compiled
+}
+
+impl CompiledProgram {
+    /// An empty program over `files`, ready for [`lower_items`].
+    pub(crate) fn empty(line_bounds: Vec<u32>, files: Vec<String>) -> Self {
+        CompiledProgram {
+            funcs: Vec::new(),
+            globals: Vec::new(),
+            consts: Vec::new(),
+            burn_seqs: Vec::new(),
+            templates: Vec::new(),
+            field_coerces: Vec::new(),
+            switches: Vec::new(),
+            fused: Vec::new(),
+            fused_lines: Vec::new(),
+            line_bounds,
+            files,
+        }
+    }
+}
+
+/// A [`CompiledProgram`] in a thread-shareable form: the interned
+/// constants and templates hold `Rc`-backed [`Value`]s, so they are kept
+/// as plain data and rebuilt by [`SharedProgram::thaw`]; everything else
+/// is shared or copied as is.
+#[derive(Debug)]
+pub(crate) struct SharedProgram {
+    funcs: Vec<Arc<BFunc>>,
+    globals: Vec<Arc<BGlobal>>,
+    consts: Vec<PlainValue>,
+    burn_seqs: Vec<Box<[u32]>>,
+    templates: Vec<Box<[PlainValue]>>,
+    field_coerces: Vec<Box<[Coerce]>>,
+    switches: Vec<SwitchTable>,
+    fused: Vec<FusedOp>,
+    fused_lines: Vec<u32>,
+    pub(crate) line_bounds: Vec<u32>,
+}
+
+/// A [`Value`] without the `Rc`s.
+#[derive(Debug)]
+enum PlainValue {
+    Int(i64),
+    Struct(Vec<PlainValue>),
+    Ptr(Option<Place>),
+    Str(String),
+}
+
+impl PlainValue {
+    fn of(v: &Value) -> Self {
+        match v {
+            Value::Int(i) => PlainValue::Int(*i),
+            Value::Struct(fields) => PlainValue::Struct(fields.iter().map(PlainValue::of).collect()),
+            Value::Ptr(p) => PlainValue::Ptr(*p),
+            Value::Str(s) => PlainValue::Str(s.to_string()),
+        }
+    }
+
+    fn value(&self) -> Value {
+        match self {
+            PlainValue::Int(i) => Value::Int(*i),
+            PlainValue::Struct(fields) => {
+                Value::Struct(Rc::new(fields.iter().map(PlainValue::value).collect()))
+            }
+            PlainValue::Ptr(p) => Value::Ptr(*p),
+            PlainValue::Str(s) => Value::Str(Rc::new(s.clone())),
+        }
+    }
+}
+
+impl SharedProgram {
+    pub(crate) fn new(p: CompiledProgram) -> Self {
+        SharedProgram {
+            funcs: p.funcs,
+            globals: p.globals,
+            consts: p.consts.iter().map(PlainValue::of).collect(),
+            burn_seqs: p.burn_seqs,
+            templates: p.templates.iter().map(|t| t.iter().map(PlainValue::of).collect()).collect(),
+            field_coerces: p.field_coerces,
+            switches: p.switches,
+            fused: p.fused,
+            fused_lines: p.fused_lines,
+            line_bounds: p.line_bounds,
+        }
+    }
+
+    /// A program to append to: the bodies shared, the tables copied.
+    pub(crate) fn thaw(&self, files: Vec<String>) -> CompiledProgram {
+        CompiledProgram {
+            funcs: self.funcs.clone(),
+            globals: self.globals.clone(),
+            consts: self.consts.iter().map(PlainValue::value).collect(),
+            burn_seqs: self.burn_seqs.clone(),
+            templates: self.templates.iter().map(|t| t.iter().map(PlainValue::value).collect()).collect(),
+            field_coerces: self.field_coerces.clone(),
+            switches: self.switches.clone(),
+            fused: self.fused.clone(),
+            fused_lines: self.fused_lines.clone(),
+            line_bounds: self.line_bounds.clone(),
+            files,
+        }
+    }
+}
+
+/// The unit-wide names lowering resolves against: every function
+/// definition and every global of the unit, in source order (their
+/// positions are the `fidx`/`gidx` slots), and the checked struct table —
+/// with name indexes over them, optionally layered over a prelude's.
+pub(crate) struct Symbols<'p> {
+    funcs: Vec<&'p Function>,
+    structs: &'p StructTable,
+    base: Option<&'p SymbolIndex>,
+    own: SymbolIndex,
+}
+
+/// Name → slot indexes over leading runs of a unit's functions, globals
+/// and structs (first definition wins, as the linear lookups they
+/// replace did).
+#[derive(Debug, Default)]
+pub(crate) struct SymbolIndex {
+    funcs: HashMap<String, usize>,
+    globals: HashMap<String, u16>,
+    /// Field name → its position in the first struct that has it.
+    fields: HashMap<String, u16>,
+    /// How many functions, globals and structs the index covers.
+    counts: (usize, usize, usize),
+}
+
+impl SymbolIndex {
+    pub(crate) fn new<'a>(
+        funcs: impl Iterator<Item = &'a Function>,
+        globals: impl Iterator<Item = &'a Global>,
+        structs: &StructTable,
+    ) -> Self {
+        let mut index = SymbolIndex::default();
+        index.extend(funcs, globals, structs, (0, 0, 0));
+        index
+    }
+
+    /// Index the entries from `from` on (function, global, struct
+    /// positions).
+    fn extend<'a>(
+        &mut self,
+        funcs: impl Iterator<Item = &'a Function>,
+        globals: impl Iterator<Item = &'a Global>,
+        structs: &StructTable,
+        from: (usize, usize, usize),
+    ) {
+        let (mut nf, mut ng) = (from.0, from.1);
+        for f in funcs {
+            self.funcs.entry(f.name.clone()).or_insert(nf);
+            nf += 1;
+        }
+        for g in globals {
+            self.globals.entry(g.name.clone()).or_insert(ng as u16);
+            ng += 1;
+        }
+        for i in from.2..structs.len() {
+            for (fidx, (name, _)) in structs.get(StructId(i)).fields.iter().enumerate() {
+                self.fields.entry(name.clone()).or_insert(fidx as u16);
+            }
+        }
+        self.counts = (nf, ng, structs.len());
+    }
+}
+
+impl<'p> Symbols<'p> {
+    /// The symbols of a unit made of `funcs` and `globals` (in source
+    /// order) over `structs`; `base` indexes a leading part of them.
+    pub(crate) fn new(
+        funcs: Vec<&'p Function>,
+        globals: Vec<&'p Global>,
+        structs: &'p StructTable,
+        base: Option<&'p SymbolIndex>,
+    ) -> Self {
+        let from = base.map_or((0, 0, 0), |b| b.counts);
+        let mut own = SymbolIndex::default();
+        own.extend(
+            funcs[from.0..].iter().copied(),
+            globals[from.1..].iter().copied(),
+            structs,
+            from,
+        );
+        Symbols { funcs, structs, base, own }
+    }
+
+    fn function(&self, name: &str) -> Option<usize> {
+        self.base
+            .and_then(|b| b.funcs.get(name))
+            .or_else(|| self.own.funcs.get(name))
+            .copied()
+    }
+
+    fn global(&self, name: &str) -> Option<u16> {
+        self.base
+            .and_then(|b| b.globals.get(name))
+            .or_else(|| self.own.globals.get(name))
+            .copied()
+    }
+
+    fn field(&self, name: &str) -> Option<u16> {
+        self.base
+            .and_then(|b| b.fields.get(name))
+            .or_else(|| self.own.fields.get(name))
+            .copied()
+    }
+}
+
+/// Lower `items` in source order, appending their bodies to `compiled`
+/// and interning into its tables. Lowering item by item is what lets a
+/// [`crate::Prelude`] lower the stub headers once and append each
+/// mutant's driver items later: the tables come out in the same order
+/// as a whole-unit lowering.
+pub(crate) fn lower_items<'p>(
+    compiled: &'p mut CompiledProgram,
+    symbols: &'p Symbols<'p>,
+    items: &'p [Item],
+    inline: bool,
+) {
+    let mut lw = Lower::new(symbols, inline, compiled);
+    for item in items {
+        match item {
+            Item::Global(g) => {
+                let g = lw.lower_global(g);
+                lw.out.globals.push(Arc::new(g));
+            }
+            Item::Func(f) => {
+                let f = lw.lower_function(f);
+                lw.out.funcs.push(Arc::new(f));
+            }
+            Item::Proto(_) => {}
+        }
     }
 }
 
@@ -683,7 +903,8 @@ fn is_lvalue_expr(e: &Expr) -> bool {
 }
 
 struct LScope {
-    names: Vec<(String, u16)>,
+    /// Where this scope's names start in [`Lower::names`].
+    start: usize,
     /// Whether this scope exists at runtime (has an `EnterScope` op or is
     /// the implicit frame scope / runtime switch scope).
     emitted: bool,
@@ -711,21 +932,20 @@ struct Ctx {
 }
 
 struct Lower<'p> {
-    program: &'p Program,
+    symbols: &'p Symbols<'p>,
     /// Whether small calls are flattened ([`Lower::should_inline`]).
     inline: bool,
-    builtin_sigs: HashMap<String, crate::check::Sig>,
-    consts: Vec<Value>,
+    /// The program being appended to: its tables are the intern tables.
+    out: &'p mut CompiledProgram,
     int_consts: HashMap<i64, u32>,
     str_consts: HashMap<String, u32>,
-    burn_seqs: Vec<Box<[u32]>>,
-    templates: Vec<Box<[Value]>>,
-    field_coerces: Vec<Box<[Coerce]>>,
-    switches: Vec<SwitchTable>,
-    global_names: Vec<String>,
+    /// The burn sequence of the last [`Lower::try_fold`].
+    burns: Vec<u32>,
     // Per-function state:
     ops: Vec<Op>,
     scopes: Vec<LScope>,
+    /// The declared names of every open scope, innermost last.
+    names: Vec<(&'p str, u16)>,
     ctxs: Vec<Ctx>,
     next_slot: u16,
     /// Function indices currently being inlined (cycle guard).
@@ -741,65 +961,125 @@ enum Resolved {
     None,
 }
 
+/// A constant [`Lower::try_fold`] computed: the [`Value`] it interns as,
+/// with string literals still borrowed from the AST (no allocation until
+/// a new constant is interned).
+#[derive(Clone, Copy)]
+enum Folded<'e> {
+    Int(i64),
+    Ptr(Option<Place>),
+    Str(&'e str),
+}
+
+impl Folded<'_> {
+    fn as_int(self) -> Option<i64> {
+        match self {
+            Folded::Int(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// C truthiness ([`Value::truthy`]).
+    fn truthy(self) -> bool {
+        match self {
+            Folded::Int(i) => i != 0,
+            Folded::Ptr(p) => p.is_some(),
+            Folded::Str(_) => true,
+        }
+    }
+}
+
 impl<'p> Lower<'p> {
+    /// Continue interning into `out`'s tables (empty for a fresh unit).
+    fn new(symbols: &'p Symbols<'p>, inline: bool, out: &'p mut CompiledProgram) -> Self {
+        let mut int_consts = HashMap::new();
+        let mut str_consts = HashMap::new();
+        for (i, v) in out.consts.iter().enumerate() {
+            match v {
+                Value::Int(x) => {
+                    int_consts.insert(*x, i as u32);
+                }
+                Value::Str(s) => {
+                    str_consts.insert(s.to_string(), i as u32);
+                }
+                _ => {}
+            }
+        }
+        Lower {
+            symbols,
+            inline,
+            out,
+            int_consts,
+            str_consts,
+            burns: Vec::new(),
+            ops: Vec::new(),
+            scopes: Vec::new(),
+            names: Vec::new(),
+            ctxs: Vec::new(),
+            next_slot: 0,
+            inline_stack: Vec::new(),
+            resolve_floor: 0,
+        }
+    }
+
     // ----- tables ---------------------------------------------------------
 
-    fn intern(&mut self, v: Value) -> u32 {
-        match &v {
-            Value::Int(i) => {
-                if let Some(&idx) = self.int_consts.get(i) {
+    fn intern(&mut self, v: Folded<'_>) -> u32 {
+        match v {
+            Folded::Int(i) => {
+                if let Some(&idx) = self.int_consts.get(&i) {
                     return idx;
                 }
-                let idx = self.consts.len() as u32;
-                self.int_consts.insert(*i, idx);
-                self.consts.push(v);
+                let idx = self.out.consts.len() as u32;
+                self.int_consts.insert(i, idx);
+                self.out.consts.push(Value::Int(i));
                 idx
             }
-            Value::Str(s) => {
-                if let Some(&idx) = self.str_consts.get(s.as_ref()) {
+            Folded::Str(s) => {
+                if let Some(&idx) = self.str_consts.get(s) {
                     return idx;
                 }
-                let idx = self.consts.len() as u32;
+                let idx = self.out.consts.len() as u32;
                 self.str_consts.insert(s.to_string(), idx);
-                self.consts.push(v);
+                self.out.consts.push(Value::Str(Rc::new(s.to_string())));
                 idx
             }
-            _ => {
-                if let Some(i) = self.consts.iter().position(|c| *c == v) {
+            Folded::Ptr(p) => {
+                let v = Value::Ptr(p);
+                if let Some(i) = self.out.consts.iter().position(|c| *c == v) {
                     return i as u32;
                 }
-                self.consts.push(v);
-                self.consts.len() as u32 - 1
+                self.out.consts.push(v);
+                self.out.consts.len() as u32 - 1
             }
         }
     }
 
-    fn intern_seq(&mut self, seq: Vec<u32>) -> u32 {
-        if let Some(i) = self.burn_seqs.iter().position(|s| s.as_ref() == seq.as_slice()) {
+    fn intern_seq(&mut self, seq: &[u32]) -> u32 {
+        if let Some(i) = self.out.burn_seqs.iter().position(|s| s.as_ref() == seq) {
             return i as u32;
         }
-        self.burn_seqs.push(seq.into_boxed_slice());
-        self.burn_seqs.len() as u32 - 1
+        self.out.burn_seqs.push(seq.into());
+        self.out.burn_seqs.len() as u32 - 1
     }
 
-    fn intern_coerces(&mut self, coerces: Vec<Coerce>) -> u32 {
-        if let Some(i) = self
-            .field_coerces
-            .iter()
-            .position(|c| c.as_ref() == coerces.as_slice())
-        {
+    /// Intern the store coercions of `types` (parameters or fields).
+    fn intern_coerces<'t>(&mut self, types: impl Iterator<Item = &'t CType> + Clone) -> u32 {
+        let same = |c: &[Coerce]| c.len() == types.clone().count()
+            && c.iter().zip(types.clone()).all(|(c, t)| *c == Coerce::of(t));
+        if let Some(i) = self.out.field_coerces.iter().position(|c| same(c)) {
             return i as u32;
         }
-        self.field_coerces.push(coerces.into_boxed_slice());
-        self.field_coerces.len() as u32 - 1
+        self.out.field_coerces.push(types.map(Coerce::of).collect());
+        self.out.field_coerces.len() as u32 - 1
     }
 
     fn intern_template(&mut self, t: Vec<Value>) -> u32 {
-        if let Some(i) = self.templates.iter().position(|s| s.as_ref() == t.as_slice()) {
+        if let Some(i) = self.out.templates.iter().position(|s| s.as_ref() == t.as_slice()) {
             return i as u32;
         }
-        self.templates.push(t.into_boxed_slice());
-        self.templates.len() as u32 - 1
+        self.out.templates.push(t.into_boxed_slice());
+        self.out.templates.len() as u32 - 1
     }
 
     /// Zero value of a type — must mirror `Interpreter::zero_of` exactly
@@ -810,7 +1090,7 @@ impl<'p> Lower<'p> {
             CType::Ptr(_) => Value::Ptr(None),
             CType::Array(e, n) => Value::Struct(Rc::new(vec![self.zero_of(e); *n])),
             CType::Struct(id) => {
-                let fields = &self.program.structs.get(*id).fields;
+                let fields = &self.symbols.structs.get(*id).fields;
                 Value::Struct(Rc::new(fields.iter().map(|(_, t)| self.zero_of(t)).collect()))
             }
         }
@@ -820,35 +1100,39 @@ impl<'p> Lower<'p> {
     /// mirror of `Interpreter::field_index_of` (positions agree across the
     /// generated stub types by construction).
     fn field_index(&self, name: &str) -> u16 {
-        for i in 0..self.program.structs.len() {
-            if let Some(idx) = self.program.structs.get(StructId(i)).field_index(name) {
-                return idx as u16;
-            }
-        }
-        NO_FIELD
+        self.symbols.field(name).unwrap_or(NO_FIELD)
     }
 
     fn resolve(&self, name: &str) -> Resolved {
-        for scope in self.scopes[self.resolve_floor..].iter().rev() {
-            if let Some((_, slot)) = scope.names.iter().rev().find(|(n, _)| n == name) {
-                return Resolved::Local(*slot);
-            }
+        let floor = self.scopes.get(self.resolve_floor).map_or(self.names.len(), |s| s.start);
+        if let Some((_, slot)) = self.names[floor..].iter().rev().find(|(n, _)| *n == name) {
+            return Resolved::Local(*slot);
         }
-        match self.global_names.iter().position(|g| g == name) {
-            Some(i) => Resolved::Global(i as u16),
+        match self.symbols.global(name) {
+            Some(i) => Resolved::Global(i),
             None => Resolved::None,
         }
     }
 
-    fn declare(&mut self, name: &str) -> u16 {
+    fn function_index(&self, name: &str) -> Option<usize> {
+        self.symbols.function(name)
+    }
+
+    fn declare(&mut self, name: &'p str) -> u16 {
+        debug_assert!(!self.scopes.is_empty(), "declared inside a scope");
         let slot = self.next_slot;
         self.next_slot += 1;
-        self.scopes
-            .last_mut()
-            .expect("inside a scope")
-            .names
-            .push((name.to_string(), slot));
+        self.names.push((name, slot));
         slot
+    }
+
+    fn push_scope(&mut self, emitted: bool) {
+        self.scopes.push(LScope { start: self.names.len(), emitted });
+    }
+
+    fn pop_scope(&mut self) {
+        let scope = self.scopes.pop().expect("a scope is open");
+        self.names.truncate(scope.start);
     }
 
     fn emitted_scopes(&self) -> usize {
@@ -858,119 +1142,125 @@ impl<'p> Lower<'p> {
     // ----- constant folding ----------------------------------------------
 
     /// Evaluate a subtree that provably cannot fault, returning its value
-    /// and the burn sequence `Interpreter::eval` would have produced.
-    fn fold(&self, e: &Expr) -> Option<(Value, Vec<u32>)> {
+    /// and leaving in `self.burns` the burn sequence `Interpreter::eval`
+    /// would have produced.
+    fn try_fold<'e>(&mut self, e: &'e Expr) -> Option<Folded<'e>> {
+        let mut burns = std::mem::take(&mut self.burns);
+        burns.clear();
+        let folded = self.fold(e, &mut burns);
+        self.burns = burns;
+        folded
+    }
+
+    /// [`Lower::try_fold`]'s recursion: appends the subtree's burns.
+    fn fold<'e>(&self, e: &'e Expr, burns: &mut Vec<u32>) -> Option<Folded<'e>> {
         match e {
-            Expr::IntLit { value, line } => Some((Value::Int(*value as i64), vec![*line])),
-            Expr::CharLit { value, line } => Some((Value::Int(*value as i64), vec![*line])),
-            Expr::StrLit { value, line } => {
-                Some((Value::Str(Rc::new(value.clone())), vec![*line]))
+            Expr::IntLit { value, line } => {
+                burns.push(*line);
+                Some(Folded::Int(*value as i64))
             }
-            Expr::SizeofType { ty, line } => Some((
-                Value::Int(ty.size_bytes(&self.program.structs) as i64),
-                vec![*line],
-            )),
+            Expr::CharLit { value, line } => {
+                burns.push(*line);
+                Some(Folded::Int(*value as i64))
+            }
+            Expr::StrLit { value, line } => {
+                burns.push(*line);
+                Some(Folded::Str(value))
+            }
+            Expr::SizeofType { ty, line } => {
+                burns.push(*line);
+                Some(Folded::Int(ty.size_bytes(self.symbols.structs) as i64))
+            }
             Expr::Ident { name, line } => {
                 // Only the function-designator-as-value case is constant;
                 // real variables load at run time.
                 if !matches!(self.resolve(name), Resolved::None) {
                     return None;
                 }
-                if self.program.unit.function(name).is_some()
-                    || self.builtin_sigs.contains_key(name)
-                {
+                if self.function_index(name).is_some() || builtin_of(name).is_some() {
                     let addr = 0x0800_0000u32.wrapping_add(
                         name.bytes()
                             .fold(0u32, |a, b| a.wrapping_mul(31).wrapping_add(b as u32))
                             & 0xFFFF,
                     );
-                    return Some((Value::Int(addr as i64), vec![*line]));
+                    burns.push(*line);
+                    return Some(Folded::Int(addr as i64));
                 }
                 None
             }
             Expr::Unary { op, expr, line } => {
-                let (v, mut seq) = self.fold(expr)?;
-                let out = match op {
-                    UnOp::Plus => v,
-                    UnOp::Neg => Value::Int(v.as_int()?.wrapping_neg()),
-                    UnOp::BitNot => Value::Int(!v.as_int()?),
-                    UnOp::Not => Value::Int(i64::from(!v.truthy())),
-                    UnOp::Deref | UnOp::AddrOf => return None,
-                };
-                let mut burns = vec![*line];
-                burns.append(&mut seq);
-                Some((out, burns))
+                burns.push(*line);
+                let v = self.fold(expr, burns)?;
+                match op {
+                    UnOp::Plus => Some(v),
+                    UnOp::Neg => Some(Folded::Int(v.as_int()?.wrapping_neg())),
+                    UnOp::BitNot => Some(Folded::Int(!v.as_int()?)),
+                    UnOp::Not => Some(Folded::Int(i64::from(!v.truthy()))),
+                    UnOp::Deref | UnOp::AddrOf => None,
+                }
             }
             Expr::Binary { op, lhs, rhs, line } => {
-                let (l, mut lseq) = self.fold(lhs)?;
+                burns.push(*line);
+                let l = self.fold(lhs, burns)?;
                 match op {
                     BinOp::LogAnd | BinOp::LogOr => {
-                        let short = (*op == BinOp::LogAnd) != l.truthy();
-                        let mut burns = vec![*line];
-                        burns.append(&mut lseq);
-                        if short {
-                            let v = i64::from(*op == BinOp::LogOr);
-                            return Some((Value::Int(v), burns));
+                        if (*op == BinOp::LogAnd) != l.truthy() {
+                            return Some(Folded::Int(i64::from(*op == BinOp::LogOr)));
                         }
-                        let (r, mut rseq) = self.fold(rhs)?;
-                        burns.append(&mut rseq);
-                        Some((Value::Int(i64::from(r.truthy())), burns))
+                        let r = self.fold(rhs, burns)?;
+                        Some(Folded::Int(i64::from(r.truthy())))
                     }
                     _ => {
-                        let (r, mut rseq) = self.fold(rhs)?;
-                        let (a, b) = (l.as_int()?, r.as_int()?);
-                        let v = fold_int_binop(*op, a, b)?;
-                        let mut burns = vec![*line];
-                        burns.append(&mut lseq);
-                        burns.append(&mut rseq);
-                        Some((Value::Int(v), burns))
+                        let r = self.fold(rhs, burns)?;
+                        Some(Folded::Int(fold_int_binop(*op, l.as_int()?, r.as_int()?)?))
                     }
                 }
             }
             Expr::Cast { ty, expr, line } => {
-                let (v, mut seq) = self.fold(expr)?;
+                burns.push(*line);
+                let v = self.fold(expr, burns)?;
                 // Mirror of the interpreter's cast arm, constant cases only.
-                let out = match (ty, v) {
-                    (CType::Int { signed, bits }, Value::Int(i)) => {
-                        Value::Int(crate::value::wrap_int(i, *bits, *signed))
+                Some(match (ty, v) {
+                    (CType::Int { signed, bits }, Folded::Int(i)) => {
+                        Folded::Int(crate::value::wrap_int(i, *bits, *signed))
                     }
-                    (CType::Int { .. }, Value::Ptr(Some(p))) => {
-                        Value::Int((p.obj.0 as i64 + 1) * 0x1_0000 + p.idx as i64)
+                    (CType::Int { .. }, Folded::Ptr(Some(p))) => {
+                        Folded::Int((p.obj.0 as i64 + 1) * 0x1_0000 + p.idx as i64)
                     }
-                    (CType::Int { .. }, Value::Ptr(None)) => Value::Int(0),
-                    (CType::Int { .. }, Value::Str(_)) => Value::Int(0x5_0000),
-                    (CType::Ptr(_), Value::Int(0)) => Value::Ptr(None),
-                    (CType::Ptr(_), Value::Int(i)) => Value::Ptr(Some(Place {
+                    (CType::Int { .. }, Folded::Ptr(None)) => Folded::Int(0),
+                    (CType::Int { .. }, Folded::Str(_)) => Folded::Int(0x5_0000),
+                    (CType::Ptr(_), Folded::Int(0)) => Folded::Ptr(None),
+                    (CType::Ptr(_), Folded::Int(i)) => Folded::Ptr(Some(Place {
                         obj: crate::value::ObjId(crate::interp::WILD_OBJ),
                         idx: i as usize,
                     })),
-                    (CType::Ptr(_), v @ (Value::Ptr(_) | Value::Str(_))) => v,
-                    (CType::Void, _) => Value::Int(0),
+                    (CType::Ptr(_), v @ (Folded::Ptr(_) | Folded::Str(_))) => v,
+                    (CType::Void, _) => Folded::Int(0),
                     _ => return None,
-                };
-                let mut burns = vec![*line];
-                burns.append(&mut seq);
-                Some((out, burns))
+                })
             }
             _ => None,
         }
     }
 
-    fn emit_folded(&mut self, v: Value, seq: Vec<u32>) {
+    /// Emit a value [`Lower::try_fold`] just produced, with its burns.
+    fn emit_folded(&mut self, v: Folded<'_>) {
         let cidx = self.intern(v);
-        if seq.len() == 1 {
-            self.ops.push(Op::Const { cidx, line: seq[0] });
+        if self.burns.len() == 1 {
+            self.ops.push(Op::Const { cidx, line: self.burns[0] });
         } else {
-            let seq = self.intern_seq(seq);
+            let burns = std::mem::take(&mut self.burns);
+            let seq = self.intern_seq(&burns);
+            self.burns = burns;
             self.ops.push(Op::ConstN { cidx, seq });
         }
     }
 
     // ----- expressions ----------------------------------------------------
 
-    fn emit_expr(&mut self, e: &Expr) {
-        if let Some((v, seq)) = self.fold(e) {
-            self.emit_folded(v, seq);
+    fn emit_expr(&mut self, e: &'p Expr) {
+        if let Some(v) = self.try_fold(e) {
+            self.emit_folded(v);
             return;
         }
         match e {
@@ -1037,18 +1327,18 @@ impl<'p> Lower<'p> {
                     }
                     _ => {
                         self.emit_expr(lhs);
-                        match self.fold(rhs) {
-                            Some((v, seq)) if seq.len() == 1 => {
+                        match self.try_fold(rhs) {
+                            Some(v) if self.burns.len() == 1 => {
                                 let cidx = self.intern(v);
                                 self.ops.push(Op::BinConst {
                                     op: *op,
                                     cidx,
-                                    rhs_line: seq[0],
+                                    rhs_line: self.burns[0],
                                     line: *line,
                                 });
                             }
-                            Some((v, seq)) => {
-                                self.emit_folded(v, seq);
+                            Some(v) => {
+                                self.emit_folded(v);
                                 self.ops.push(Op::Bin { op: *op, line: *line });
                             }
                             None => {
@@ -1087,16 +1377,11 @@ impl<'p> Lower<'p> {
                     self.ops.push(Op::Trap { kind: FaultKind::BadValue, line: *line });
                     return;
                 };
-                let program = self.program;
-                if let Some(fidx) = program.unit.functions().position(|f| f.name == *name) {
+                if let Some(fidx) = self.function_index(name) {
                     for a in args {
                         self.emit_expr(a);
                     }
-                    let func = program
-                        .unit
-                        .functions()
-                        .nth(fidx)
-                        .expect("function index just resolved");
+                    let func = self.symbols.funcs[fidx];
                     if self.should_inline(fidx, func, args.len()) {
                         self.emit_inline_call(fidx, func);
                     } else {
@@ -1158,7 +1443,7 @@ impl<'p> Lower<'p> {
         }
     }
 
-    fn emit_lvalue(&mut self, e: &Expr) {
+    fn emit_lvalue(&mut self, e: &'p Expr) {
         match e {
             Expr::Ident { name, line } => match self.resolve(name) {
                 Resolved::Local(slot) => self.ops.push(Op::PlaceLocal { slot, line: *line }),
@@ -1220,14 +1505,13 @@ impl<'p> Lower<'p> {
     /// closing `InlineExit`, and falling off the end yields 0 — so object
     /// ids, burns, faults and `StackOverflow` sites all match the
     /// tree-walking oracle's out-of-line execution exactly.
-    fn emit_inline_call(&mut self, fidx: usize, func: &Function) {
+    fn emit_inline_call(&mut self, fidx: usize, func: &'p Function) {
         self.inline_stack.push(fidx);
-        let coerces: Vec<Coerce> = func.params.iter().map(|(_, ty)| Coerce::of(ty)).collect();
-        let coerces = self.intern_coerces(coerces);
+        let coerces = self.intern_coerces(func.params.iter().map(|(_, ty)| ty));
         // The frame scope: emitted via InlineEnter's scope entry. The
         // callee must not see the caller's locals, so resolution floors
         // at this scope for the duration of the body.
-        self.scopes.push(LScope { names: Vec::new(), emitted: true });
+        self.push_scope(true);
         let saved_floor = std::mem::replace(&mut self.resolve_floor, self.scopes.len() - 1);
         let first_slot = self.next_slot;
         for (name, _) in &func.params {
@@ -1252,14 +1536,14 @@ impl<'p> Lower<'p> {
             self.emit_stmt(s);
         }
         // Falling off the end returns 0 (without burning), like `Ret`.
-        let cidx = self.intern(Value::Int(0));
+        let cidx = self.intern(Folded::Int(0));
         self.ops.push(Op::PushConst { cidx });
         let end = self.here();
         let ctx = self.ctxs.pop().expect("inline ctx pushed");
         self.patch(ctx.break_patches, end);
         debug_assert!(ctx.continue_patches.is_empty());
         self.ops.push(Op::InlineExit);
-        self.scopes.pop();
+        self.pop_scope();
         self.resolve_floor = saved_floor;
         self.inline_stack.pop();
     }
@@ -1290,22 +1574,22 @@ impl<'p> Lower<'p> {
         self.ops.len() as u32
     }
 
-    fn emit_block(&mut self, b: &Block) {
+    fn emit_block(&mut self, b: &'p Block) {
         let has_decl = b.stmts.iter().any(|s| matches!(s, Stmt::Decl { .. }));
         if has_decl {
             self.ops.push(Op::EnterScope);
         }
-        self.scopes.push(LScope { names: Vec::new(), emitted: has_decl });
+        self.push_scope(has_decl);
         for s in &b.stmts {
             self.emit_stmt(s);
         }
-        self.scopes.pop();
+        self.pop_scope();
         if has_decl {
             self.ops.push(Op::ExitScope);
         }
     }
 
-    fn emit_stmt(&mut self, s: &Stmt) {
+    fn emit_stmt(&mut self, s: &'p Stmt) {
         match s {
             Stmt::Decl { name, ty, init, line } => {
                 self.ops.push(Op::Line(*line));
@@ -1329,13 +1613,11 @@ impl<'p> Lower<'p> {
                         });
                     }
                     (CType::Struct(id), Some(Init::List(list))) => {
-                        let fields = self.program.structs.get(*id).fields.clone();
+                        let fields = &self.symbols.structs.get(*id).fields;
                         let template = self.intern_template(
                             fields.iter().map(|(_, t)| self.zero_of(t)).collect(),
                         );
-                        let coerces: Vec<Coerce> =
-                            fields.iter().map(|(_, t)| Coerce::of(t)).collect();
-                        let cidx = self.intern_coerces(coerces);
+                        let cidx = self.intern_coerces(fields.iter().map(|(_, t)| t));
                         for it in list {
                             self.emit_expr(it);
                         }
@@ -1423,7 +1705,7 @@ impl<'p> Lower<'p> {
                 if has_scope {
                     self.ops.push(Op::EnterScope);
                 }
-                self.scopes.push(LScope { names: Vec::new(), emitted: has_scope });
+                self.push_scope(has_scope);
                 if let Some(init) = init {
                     self.emit_stmt(init);
                 }
@@ -1453,7 +1735,7 @@ impl<'p> Lower<'p> {
                 let ctx = self.ctxs.pop().expect("loop ctx pushed");
                 self.patch(ctx.break_patches, end);
                 self.patch(ctx.continue_patches, at_step);
-                self.scopes.pop();
+                self.pop_scope();
                 if has_scope {
                     self.ops.push(Op::ExitScope);
                 }
@@ -1464,8 +1746,8 @@ impl<'p> Lower<'p> {
                 let enter_scope = arms
                     .iter()
                     .any(|a| a.stmts.iter().any(|s| matches!(s, Stmt::Decl { .. })));
-                let table = self.switches.len() as u32;
-                self.switches.push(SwitchTable {
+                let table = self.out.switches.len() as u32;
+                self.out.switches.push(SwitchTable {
                     cases: Vec::new(),
                     default: None,
                     end: u32::MAX,
@@ -1483,7 +1765,7 @@ impl<'p> Lower<'p> {
                 });
                 // All arms share one runtime scope, entered by the Switch
                 // dispatch itself.
-                self.scopes.push(LScope { names: Vec::new(), emitted: enter_scope });
+                self.push_scope(enter_scope);
                 let mut arm_starts = Vec::with_capacity(arms.len());
                 for arm in arms {
                     arm_starts.push(self.here());
@@ -1491,7 +1773,7 @@ impl<'p> Lower<'p> {
                         self.emit_stmt(st);
                     }
                 }
-                self.scopes.pop();
+                self.pop_scope();
                 if enter_scope {
                     self.ops.push(Op::ExitScope);
                 }
@@ -1499,7 +1781,7 @@ impl<'p> Lower<'p> {
                 let ctx = self.ctxs.pop().expect("switch ctx pushed");
                 self.patch(ctx.break_patches, end);
                 debug_assert!(ctx.continue_patches.is_empty());
-                let tbl = &mut self.switches[table as usize];
+                let tbl = &mut self.out.switches[table as usize];
                 tbl.end = end;
                 for (arm, start) in arms.iter().zip(arm_starts) {
                     for l in &arm.labels {
@@ -1519,7 +1801,7 @@ impl<'p> Lower<'p> {
                 match e {
                     Some(e) => self.emit_expr(e),
                     None => {
-                        let cidx = self.intern(Value::Int(0));
+                        let cidx = self.intern(Folded::Int(0));
                         self.ops.push(Op::PushConst { cidx });
                     }
                 }
@@ -1576,7 +1858,7 @@ impl<'p> Lower<'p> {
     /// bulk of driver hot loops; fuse them so the value never round-trips
     /// through the stacks. The burn sequence and fault behaviour are
     /// unchanged (`PlaceLocal`, `Store` and `Pop` never burn).
-    fn emit_expr_stmt(&mut self, e: &Expr) {
+    fn emit_expr_stmt(&mut self, e: &'p Expr) {
         match e {
             Expr::Assign { op, lhs, rhs, line } => {
                 if let Expr::Ident { name, .. } = lhs.as_ref() {
@@ -1640,16 +1922,17 @@ impl<'p> Lower<'p> {
 
     // ----- items ----------------------------------------------------------
 
-    fn lower_function(&mut self, f: &Function) -> BFunc {
+    fn lower_function(&mut self, f: &'p Function) -> BFunc {
         self.ops = Vec::new();
         self.scopes.clear();
+        self.names.clear();
         self.ctxs.clear();
         self.next_slot = 0;
         self.inline_stack.clear();
         self.resolve_floor = 0;
         // The frame scope (params + body top-level decls) is pushed by the
         // call machinery itself, so it is "emitted" without an op.
-        self.scopes.push(LScope { names: Vec::new(), emitted: true });
+        self.push_scope(true);
         let mut params = Vec::with_capacity(f.params.len());
         for (name, ty) in &f.params {
             self.declare(name);
@@ -1661,10 +1944,10 @@ impl<'p> Lower<'p> {
             self.emit_stmt(s);
         }
         // Falling off the end returns 0 (without burning fuel).
-        let cidx = self.intern(Value::Int(0));
+        let cidx = self.intern(Folded::Int(0));
         self.ops.push(Op::PushConst { cidx });
         self.ops.push(Op::Ret);
-        self.scopes.pop();
+        self.pop_scope();
         BFunc {
             name: f.name.clone(),
             ops: std::mem::take(&mut self.ops),
@@ -1674,9 +1957,10 @@ impl<'p> Lower<'p> {
         }
     }
 
-    fn lower_global(&mut self, g: &Global) -> BGlobal {
+    fn lower_global(&mut self, g: &'p Global) -> BGlobal {
         self.ops = Vec::new();
         self.scopes.clear();
+        self.names.clear();
         self.ctxs.clear();
         self.next_slot = 0;
         self.inline_stack.clear();
@@ -1704,7 +1988,7 @@ impl<'p> Lower<'p> {
                 GFinish::Scalar { coerce: Coerce::of(ty) }
             }
             (CType::Struct(id), Some(Init::List(list))) => {
-                let fields = &self.program.structs.get(*id).fields;
+                let fields = &self.symbols.structs.get(*id).fields;
                 let template =
                     self.intern_template(fields.iter().map(|(_, t)| self.zero_of(t)).collect());
                 for it in list {

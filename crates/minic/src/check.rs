@@ -19,7 +19,7 @@ use crate::types::{CType, StructTable};
 use std::collections::{HashMap, HashSet};
 
 /// A function signature (user-defined or builtin).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sig {
     /// Return type.
     pub ret: CType,
@@ -70,90 +70,101 @@ pub fn builtin_signatures() -> HashMap<String, Sig> {
 /// Returns the first violation (a kernel build would report them all, but
 /// one is enough to classify a mutant as compile-time detected).
 pub fn check(unit: &Unit) -> Result<StructTable, CError> {
-    let mut cx = Checker {
-        structs: &unit.structs,
-        funcs: builtin_signatures(),
-        defined: HashSet::new(),
-        globals: HashMap::new(),
-        scopes: Vec::new(),
-        current_ret: CType::Void,
-        loop_depth: 0,
-        switch_depth: 0,
-    };
-    // Pass 1: collect signatures and globals.
-    for item in &unit.items {
-        match item {
-            Item::Proto(p) => {
-                let sig = Sig { ret: p.ret.clone(), params: p.params.clone(), varargs: p.varargs };
-                if let Some(prev) = cx.funcs.get(&p.name) {
-                    if prev.params.len() != sig.params.len() || prev.ret != sig.ret {
-                        return Err(err(p.line, format!("conflicting declaration of `{}`", p.name)));
-                    }
-                }
-                cx.funcs.insert(p.name.clone(), sig);
-            }
-            Item::Func(f) => {
-                let sig = Sig {
-                    ret: f.ret.clone(),
-                    params: f.params.iter().map(|(_, t)| t.clone()).collect(),
-                    varargs: false,
-                };
-                if !cx.defined.insert(f.name.clone()) {
-                    return Err(err(f.line, format!("redefinition of function `{}`", f.name)));
-                }
-                if cx.globals.contains_key(&f.name) {
-                    return Err(err(
-                        f.line,
-                        format!("`{}` redeclared as a different kind of symbol", f.name),
-                    ));
-                }
-                if let Some(prev) = cx.funcs.get(&f.name) {
-                    if prev.params.len() != sig.params.len() || prev.ret != sig.ret {
-                        return Err(err(
-                            f.line,
-                            format!("definition of `{}` conflicts with its declaration", f.name),
-                        ));
-                    }
-                }
-                cx.funcs.insert(f.name.clone(), sig);
-            }
-            Item::Global(g) => {
-                if cx.globals.insert(g.name.clone(), (g.ty.clone(), g.is_const)).is_some() {
-                    return Err(err(g.line, format!("redefinition of `{}`", g.name)));
-                }
-                if cx.defined.contains(&g.name) || cx.funcs.contains_key(&g.name) {
-                    return Err(err(
-                        g.line,
-                        format!("`{}` redeclared as a different kind of symbol", g.name),
-                    ));
-                }
-                cx.complete_type(&g.ty, g.line)?;
-            }
-        }
-    }
-    // Pass 2: check global initialisers.
-    for g in unit.globals() {
-        if let Some(init) = &g.init {
-            cx.check_init(&g.ty, init, g.line)?;
-            cx.require_const_init(init, g.line)?;
-        }
-    }
-    // Pass 3: check function bodies.
-    for f in unit.functions() {
-        cx.current_ret = f.ret.clone();
-        cx.scopes.clear();
-        cx.scopes.push(HashMap::new());
-        for (name, ty) in &f.params {
-            cx.complete_type(ty, f.line)?;
-            cx.scopes
-                .last_mut()
-                .expect("scope pushed")
-                .insert(name.clone(), ty.clone());
-        }
-        cx.check_block(&f.body)?;
-        cx.scopes.pop();
-    }
+    check_unit(unit)?;
     Ok(unit.structs.clone())
+}
+
+/// The checker's environment after pass 1 over a [`crate::Prelude`]'s
+/// prefix: the builtins plus every signature and global it declares.
+#[derive(Debug)]
+pub(crate) struct Env {
+    funcs: HashMap<String, Sig>,
+    defined: HashSet<String>,
+    globals: HashMap<String, (CType, bool)>,
+}
+
+/// [`check`] a unit, returning its environment after pass 1 — what a
+/// prelude keeps of its prefix.
+///
+/// # Errors
+///
+/// The unit's first violation.
+pub(crate) fn check_unit(unit: &Unit) -> Result<Env, CError> {
+    let mut cx = Checker::new(&unit.structs, None);
+    cx.collect(&unit.items, None)?;
+    cx.check_items(&unit.items)?;
+    Ok(Env { funcs: cx.funcs.own, defined: cx.defined.own, globals: cx.globals.own })
+}
+
+/// Check the items a prelude compile appends after the prefix, against
+/// the prefix's environment and in [`check`]'s pass order — passes 2 and
+/// 3 of the prefix items pass unchanged, so the first error of the whole
+/// unit is the first error here. `Ok(false)` (declined) when a suffix
+/// item would change what the prefix's bodies mean: a prototype that
+/// re-types a builtin or prefix function, or a definition of a builtin or
+/// of a function the prefix only declared (lowering resolves prefix calls
+/// to it).
+///
+/// # Errors
+///
+/// Exactly the error [`check`] reports over the whole unit.
+pub(crate) fn check_suffix(
+    env: &Env,
+    items: &[Item],
+    structs: &StructTable,
+) -> Result<bool, CError> {
+    let mut cx = Checker::new(structs, Some(env));
+    let mut changes_prefix = false;
+    cx.collect(items, Some(&mut changes_prefix))?;
+    if changes_prefix {
+        return Ok(false);
+    }
+    cx.check_items(items)?;
+    Ok(true)
+}
+
+/// A symbol table of this unit's own entries over an optional prelude
+/// base.
+struct Layered<'e, V> {
+    base: Option<&'e HashMap<String, V>>,
+    own: HashMap<String, V>,
+}
+
+impl<'e, V> Layered<'e, V> {
+    fn new(base: Option<&'e HashMap<String, V>>) -> Self {
+        Layered { base, own: HashMap::new() }
+    }
+
+    fn get(&self, name: &str) -> Option<&V> {
+        self.own.get(name).or_else(|| self.base?.get(name))
+    }
+
+    fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// Insert, returning whether `name` was already bound.
+    fn insert(&mut self, name: String, v: V) -> bool {
+        let had = self.base.is_some_and(|b| b.contains_key(&name));
+        self.own.insert(name, v).is_some() || had
+    }
+}
+
+/// [`Layered`] for a name set.
+struct LayeredSet<'e> {
+    base: Option<&'e HashSet<String>>,
+    own: HashSet<String>,
+}
+
+impl LayeredSet<'_> {
+    fn contains(&self, name: &str) -> bool {
+        self.own.contains(name) || self.base.is_some_and(|b| b.contains(name))
+    }
+
+    /// Insert, returning whether `name` is new.
+    fn insert(&mut self, name: String) -> bool {
+        !self.base.is_some_and(|b| b.contains(&name)) && self.own.insert(name)
+    }
 }
 
 fn err(line: u32, msg: impl Into<String>) -> CError {
@@ -166,9 +177,9 @@ fn err(line: u32, msg: impl Into<String>) -> CError {
 
 struct Checker<'u> {
     structs: &'u StructTable,
-    funcs: HashMap<String, Sig>,
-    defined: HashSet<String>,
-    globals: HashMap<String, (CType, bool)>,
+    funcs: Layered<'u, Sig>,
+    defined: LayeredSet<'u>,
+    globals: Layered<'u, (CType, bool)>,
     scopes: Vec<HashMap<String, CType>>,
     current_ret: CType,
     loop_depth: u32,
@@ -193,6 +204,133 @@ impl Typed {
 }
 
 impl<'u> Checker<'u> {
+    fn new(structs: &'u StructTable, base: Option<&'u Env>) -> Self {
+        let mut funcs = Layered::new(base.map(|e| &e.funcs));
+        if base.is_none() {
+            funcs.own = builtin_signatures();
+        }
+        Checker {
+            structs,
+            funcs,
+            defined: LayeredSet { base: base.map(|e| &e.defined), own: HashSet::new() },
+            globals: Layered::new(base.map(|e| &e.globals)),
+            scopes: Vec::new(),
+            current_ret: CType::Void,
+            loop_depth: 0,
+            switch_depth: 0,
+        }
+    }
+
+    /// Pass 1: collect signatures and globals. With `changes_prefix`
+    /// set (a prelude suffix), stop early and flag any item that would
+    /// re-type or define a name the prefix's bodies were checked and
+    /// lowered against (see [`check_suffix`]).
+    fn collect(
+        &mut self,
+        items: &[Item],
+        mut changes_prefix: Option<&mut bool>,
+    ) -> Result<(), CError> {
+        for item in items {
+            match item {
+                Item::Proto(p) => {
+                    let sig =
+                        Sig { ret: p.ret.clone(), params: p.params.clone(), varargs: p.varargs };
+                    if let Some(prev) = self.funcs.get(&p.name) {
+                        if prev.params.len() != sig.params.len() || prev.ret != sig.ret {
+                            return Err(err(
+                                p.line,
+                                format!("conflicting declaration of `{}`", p.name),
+                            ));
+                        }
+                    }
+                    if let Some(flag) = changes_prefix.as_deref_mut() {
+                        if self.funcs.base.and_then(|b| b.get(&p.name)).is_some_and(|b| *b != sig) {
+                            *flag = true;
+                            return Ok(());
+                        }
+                    }
+                    self.funcs.insert(p.name.clone(), sig);
+                }
+                Item::Func(f) => {
+                    let sig = Sig {
+                        ret: f.ret.clone(),
+                        params: f.params.iter().map(|(_, t)| t.clone()).collect(),
+                        varargs: false,
+                    };
+                    if !self.defined.insert(f.name.clone()) {
+                        return Err(err(f.line, format!("redefinition of function `{}`", f.name)));
+                    }
+                    if self.globals.contains_key(&f.name) {
+                        return Err(err(
+                            f.line,
+                            format!("`{}` redeclared as a different kind of symbol", f.name),
+                        ));
+                    }
+                    if let Some(prev) = self.funcs.get(&f.name) {
+                        if prev.params.len() != sig.params.len() || prev.ret != sig.ret {
+                            return Err(err(
+                                f.line,
+                                format!(
+                                    "definition of `{}` conflicts with its declaration",
+                                    f.name
+                                ),
+                            ));
+                        }
+                    }
+                    if let Some(flag) = changes_prefix.as_deref_mut() {
+                        if self.funcs.base.is_some_and(|b| b.contains_key(&f.name)) {
+                            *flag = true;
+                            return Ok(());
+                        }
+                    }
+                    self.funcs.insert(f.name.clone(), sig);
+                }
+                Item::Global(g) => {
+                    if self.globals.insert(g.name.clone(), (g.ty.clone(), g.is_const)) {
+                        return Err(err(g.line, format!("redefinition of `{}`", g.name)));
+                    }
+                    if self.defined.contains(&g.name) || self.funcs.contains_key(&g.name) {
+                        return Err(err(
+                            g.line,
+                            format!("`{}` redeclared as a different kind of symbol", g.name),
+                        ));
+                    }
+                    self.complete_type(&g.ty, g.line)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Passes 2 and 3: global initialisers, then function bodies.
+    fn check_items(&mut self, items: &[Item]) -> Result<(), CError> {
+        for item in items {
+            if let Item::Global(g) = item {
+                if let Some(init) = &g.init {
+                    self.check_init(&g.ty, init, g.line)?;
+                    self.require_const_init(init, g.line)?;
+                }
+            }
+        }
+        for item in items {
+            if let Item::Func(f) = item {
+                self.current_ret = f.ret.clone();
+                self.scopes.clear();
+                self.scopes.push(HashMap::new());
+                for (name, ty) in &f.params {
+                    self.complete_type(ty, f.line)?;
+                    self.scopes
+                        .last_mut()
+                        .expect("scope pushed")
+                        .insert(name.clone(), ty.clone());
+                }
+                self.check_block(&f.body)?;
+                self.scopes.pop();
+            }
+        }
+        Ok(())
+    }
+
     fn complete_type(&self, ty: &CType, line: u32) -> Result<(), CError> {
         match ty {
             CType::Struct(id) => {

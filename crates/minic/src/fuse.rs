@@ -24,12 +24,21 @@
 use crate::bytecode::{
     Builtin, CompiledProgram, FuseEnd, FuseRhs, FuseSrc, FuseStage, FusedOp, Op,
 };
+use std::sync::Arc;
 
 /// Run the pass over every function of a lowered program, in place.
 /// Idempotent: already-fused ops never match a pattern again.
 pub fn fuse(program: &mut CompiledProgram) {
-    for fidx in 0..program.funcs.len() {
-        let ops = std::mem::take(&mut program.funcs[fidx].ops);
+    fuse_from(program, 0);
+}
+
+/// Run the pass over the functions from index `first` on — the ones a
+/// [`crate::Prelude`] compile appended after the already-fused header
+/// bodies. Fusing function by function in index order is what keeps the
+/// `fused` table identical to a whole-program [`fuse`].
+pub(crate) fn fuse_from(program: &mut CompiledProgram, first: usize) {
+    for fidx in first..program.funcs.len() {
+        let ops = std::mem::take(&mut Arc::make_mut(&mut program.funcs[fidx]).ops);
         let (ops, tables) = fuse_ops(ops, program);
         // Remap this function's switch tables (collected during the scan).
         for (table, map) in tables {
@@ -42,7 +51,7 @@ pub fn fuse(program: &mut CompiledProgram) {
             }
             t.end = map[t.end as usize];
         }
-        program.funcs[fidx].ops = ops;
+        Arc::make_mut(&mut program.funcs[fidx]).ops = ops;
     }
 }
 
@@ -111,7 +120,16 @@ fn fuse_ops(ops: Vec<Op>, program: &mut CompiledProgram) -> (Vec<Op>, TableRemap
                     *slot = new_idx;
                 }
                 out.push(match rep {
-                    Rep::Fused(f) => {
+                    Rep::Fused(mut f) => {
+                        // The span's leading `Line`s are its burns.
+                        let start = program.fused_lines.len() as u32;
+                        program.fused_lines.extend(ops[i..i + f.pre.1 as usize].iter().map(
+                            |op| match op {
+                                Op::Line(l) => *l,
+                                _ => unreachable!("counted as a Line"),
+                            },
+                        ));
+                        f.pre.0 = start;
                         program.fused.push(f);
                         Op::FusedBr { idx: program.fused.len() as u32 - 1 }
                     }
@@ -176,15 +194,6 @@ fn match_at(ops: &[Op], at: usize, is_target: &[bool]) -> Option<(usize, Rep)> {
         j += 1;
     }
     let n_pre = j - at;
-    let pre_lines = |count: usize| -> Box<[u32]> {
-        ops[at..at + count]
-            .iter()
-            .map(|op| match op {
-                Op::Line(l) => *l,
-                _ => unreachable!("counted as a Line"),
-            })
-            .collect()
-    };
     // The for-loop step + back-jump pair: exactly `Line; IncDec*Pop; Jump`.
     if n_pre == 1 && j + 1 < n {
         let step = match &ops[j] {
@@ -498,7 +507,8 @@ fn match_at(ops: &[Op], at: usize, is_target: &[bool]) -> Option<(usize, Rep)> {
     Some((
         len,
         Rep::Fused(FusedOp {
-            pre: pre_lines(n_pre),
+            // Moved into the program's pool by `fuse_ops`.
+            pre: (0, n_pre as u32),
             src,
             field,
             stage1,

@@ -41,7 +41,7 @@ pub fn lex_line(
                 let (tok, len) = lex_number(&text[i..])
                     .map_err(|m| err(i, m))?;
                 i += len;
-                out.push(mk(file, file_id, line, base_offset + start, len, tok));
+                out.push(mk(file_id, line, base_offset + start, len, tok));
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let mut j = i + 1;
@@ -50,7 +50,6 @@ pub fn lex_line(
                 }
                 let name = &text[i..j];
                 out.push(mk(
-                    file,
                     file_id,
                     line,
                     base_offset + start,
@@ -61,22 +60,22 @@ pub fn lex_line(
             }
             b'"' => {
                 let (s, len) = lex_string(&text[i..]).map_err(|m| err(i, m))?;
-                out.push(mk(file, file_id, line, base_offset + start, len, CTok::Str(s)));
+                out.push(mk(file_id, line, base_offset + start, len, CTok::Str(s)));
                 i += len;
             }
             b'\'' => {
                 let (ch, len) = lex_char(&text[i..]).map_err(|m| err(i, m))?;
-                out.push(mk(file, file_id, line, base_offset + start, len, CTok::Char(ch)));
+                out.push(mk(file_id, line, base_offset + start, len, CTok::Char(ch)));
                 i += len;
             }
             b'#' => {
-                out.push(mk(file, file_id, line, base_offset + start, 1, CTok::Hash));
+                out.push(mk(file_id, line, base_offset + start, 1, CTok::Hash));
                 i += 1;
             }
             _ => {
                 let (p, len) = lex_punct(&text[i..])
                     .ok_or_else(|| err(i, format!("stray character `{}`", c as char)))?;
-                out.push(mk(file, file_id, line, base_offset + start, len, CTok::Punct(p)));
+                out.push(mk(file_id, line, base_offset + start, len, CTok::Punct(p)));
                 i += len;
             }
         }
@@ -93,8 +92,8 @@ impl Tap for CError {
     }
 }
 
-fn mk(file: &str, file_id: u16, line: u32, pos: usize, len: usize, tok: CTok) -> CToken {
-    CToken { tok, file: file.to_string(), file_id, line, pos, len }
+fn mk(file_id: u16, line: u32, pos: usize, len: usize, tok: CTok) -> CToken {
+    CToken { tok, file_id, line, pos, len }
 }
 
 fn lex_number(s: &str) -> Result<(CTok, usize), String> {

@@ -13,6 +13,16 @@
 //! "compile") → [`bytecode`] (lowering, with small-call inlining and the
 //! superinstruction fusion pass) → [`vm`] (the "run").
 //!
+//! Mutation campaigns compile thousands of drivers that share their stub
+//! headers and differ in one line. A [`Prelude`] runs that pipeline once
+//! over everything up to a driver's last `#include` — the *prelude
+//! boundary* — and [`compile_with_prelude`] then compiles only the text
+//! after it, producing exactly the whole-unit result. It declines (and
+//! runs the full compile) whenever it cannot prove that: an edit before
+//! the boundary, a boundary inside a comment, macro call or open brace,
+//! headers that do not check on their own, or driver text that would
+//! change how the headers compile (see the [`Prelude`] docs).
+//!
 //! The tree-walking [`interp`] predates the VM and survives as its
 //! differential oracle: both engines execute the same checked [`Program`]
 //! with observably identical results (see `bytecode`'s equivalence
@@ -46,6 +56,7 @@ pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod pp;
+mod prelude;
 pub mod token;
 pub mod types;
 pub mod value;
@@ -55,6 +66,7 @@ pub use bytecode::CompiledProgram;
 pub use coverage::Coverage;
 pub use deadline::Deadline;
 pub use error::{CError, CPhase};
+pub use prelude::{compile_with_prelude, Prelude};
 
 /// A fully checked program, ready to interpret.
 #[derive(Debug, Clone)]
@@ -94,10 +106,10 @@ pub fn compile_with_includes(
 }
 
 /// Like [`compile_with_includes`], resolving includes against a pre-lexed
-/// [`pp::IncludeCache`] — the mutation-campaign fast path, where thousands
-/// of mutated drivers compile against one unchanged header set. Build the
-/// cache once (it is `Sync`; campaign workers can share it) and only the
-/// spliced driver file pays for lexing on each compile.
+/// [`pp::IncludeCache`]: only the driver file pays for lexing, but the
+/// headers are still preprocessed, parsed and checked on every compile.
+/// Campaigns compile through a [`Prelude`] instead, which does all of
+/// that once.
 ///
 /// # Errors
 ///

@@ -16,23 +16,63 @@ use std::collections::HashMap;
 ///
 /// Returns the first syntax error.
 pub fn parse((tokens, files): (Vec<CToken>, Vec<String>)) -> Result<Unit, CError> {
-    let mut p = Parser {
-        toks: tokens,
-        pos: 0,
-        structs: StructTable::new(),
-        typedefs: HashMap::new(),
+    Ok(parse_with(tokens, files, None, StructTable::new())?.0)
+}
+
+/// Parse a [`crate::Prelude`]'s prefix tokens on their own (an
+/// end-of-input token is appended): the prefix unit and its typedefs.
+pub(crate) fn parse_prefix(
+    mut tokens: Vec<CToken>,
+    files: Vec<String>,
+) -> Result<(Unit, HashMap<String, CType>), CError> {
+    let eof = match tokens.last() {
+        Some(t) => CToken::synthesized(CTok::Eof, t),
+        None => CToken {
+            tok: CTok::Eof,
+            file_id: 0,
+            line: 1,
+            pos: 0,
+            len: 0,
+        },
     };
+    tokens.push(eof);
+    parse_with(tokens, files, None, StructTable::new())
+}
+
+/// Parse the suffix of a [`crate::Prelude`] compile, continuing from the
+/// prefix's typedefs and struct table: the suffix's items over the
+/// extended struct table.
+pub(crate) fn parse_suffix(
+    (tokens, files): (Vec<CToken>, Vec<String>),
+    typedefs: &HashMap<String, CType>,
+    structs: StructTable,
+) -> Result<Unit, CError> {
+    Ok(parse_with(tokens, files, Some(typedefs), structs)?.0)
+}
+
+fn parse_with(
+    tokens: Vec<CToken>,
+    files: Vec<String>,
+    base_typedefs: Option<&HashMap<String, CType>>,
+    structs: StructTable,
+) -> Result<(Unit, HashMap<String, CType>), CError> {
+    let mut p =
+        Parser { toks: tokens, pos: 0, files, structs, base_typedefs, typedefs: HashMap::new() };
     let mut items = Vec::new();
     while !p.at_eof() {
         p.top_level(&mut items)?;
     }
-    Ok(Unit { items, structs: p.structs, files })
+    Ok((Unit { items, structs: p.structs, files: p.files }, p.typedefs))
 }
 
-struct Parser {
+struct Parser<'a> {
     toks: Vec<CToken>,
     pos: usize,
+    /// The unit's file table (token `file_id` → name).
+    files: Vec<String>,
     structs: StructTable,
+    /// A prelude's typedefs, under this unit's own.
+    base_typedefs: Option<&'a HashMap<String, CType>>,
     typedefs: HashMap<String, CType>,
 }
 
@@ -43,7 +83,11 @@ struct DeclFlags {
     is_static: bool,
 }
 
-impl Parser {
+impl Parser<'_> {
+    fn typedef(&self, name: &str) -> Option<&CType> {
+        self.typedefs.get(name).or_else(|| self.base_typedefs?.get(name))
+    }
+
     fn cur(&self) -> &CToken {
         &self.toks[self.pos.min(self.toks.len() - 1)]
     }
@@ -56,17 +100,16 @@ impl Parser {
         self.cur().tok == CTok::Eof
     }
 
-    fn bump(&mut self) -> CToken {
-        let t = self.cur().clone();
+    fn bump(&mut self) {
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
-        t
     }
 
     fn error(&self, msg: impl Into<String>) -> CError {
         let t = self.cur();
-        CError::new(CPhase::Parse, &t.file, t.line, msg)
+        let file = self.files.get(usize::from(t.file_id)).map_or("<unknown>", String::as_str);
+        CError::new(CPhase::Parse, file, t.line, msg)
     }
 
     fn is_punct(&self, p: Punct) -> bool {
@@ -82,9 +125,10 @@ impl Parser {
         }
     }
 
-    fn expect_punct(&mut self, p: Punct) -> Result<CToken, CError> {
+    fn expect_punct(&mut self, p: Punct) -> Result<(), CError> {
         if self.is_punct(p) {
-            Ok(self.bump())
+            self.bump();
+            Ok(())
         } else {
             Err(self.error(format!("expected `{}`, found {}", p.as_str(), self.cur().tok)))
         }
@@ -103,13 +147,22 @@ impl Parser {
         }
     }
 
+    /// Consume the current token, moving out its text (a token is never
+    /// read again once the parser has stepped past it).
+    fn take_text(&mut self) -> String {
+        let text = match &mut self.toks[self.pos].tok {
+            CTok::Ident(s) | CTok::Str(s) => std::mem::take(s),
+            _ => String::new(),
+        };
+        self.bump();
+        text
+    }
+
     fn expect_ident(&mut self, what: &str) -> Result<(String, u32), CError> {
         match &self.cur().tok {
-            CTok::Ident(s) => {
-                let s = s.clone();
+            CTok::Ident(_) => {
                 let line = self.cur().packed_line();
-                self.bump();
-                Ok((s, line))
+                Ok((self.take_text(), line))
             }
             other => Err(self.error(format!("expected {what}, found {other}"))),
         }
@@ -129,7 +182,7 @@ impl Parser {
                         | "static"
                         | "inline"
                         | "extern"
-                ) || self.typedefs.contains_key(s)
+                ) || self.typedef(s).is_some()
             }
             _ => false,
         }
@@ -195,7 +248,7 @@ impl Parser {
                     flags,
                 ));
             }
-            match self.typedefs.get(s) {
+            match self.typedef(s) {
                 Some(t) => {
                     let t = t.clone();
                     self.bump();
@@ -321,11 +374,7 @@ impl Parser {
                     let (base, _) = self.decl_specs()?;
                     let ty = self.pointers(base);
                     let pname = match &self.cur().tok {
-                        CTok::Ident(s) if !self.at_type_start() => {
-                            let s = s.clone();
-                            self.bump();
-                            Some(s)
-                        }
+                        CTok::Ident(_) if !self.at_type_start() => Some(self.take_text()),
                         _ => None,
                     };
                     let ty = match pname {
@@ -693,7 +742,7 @@ impl Parser {
                     "void" | "char" | "short" | "int" | "long" | "unsigned" | "signed"
                         | "struct"
                         | "const"
-                ) || self.typedefs.contains_key(s);
+                ) || self.typedef(s).is_some();
                 if is_type {
                     let line = self.cur().packed_line();
                     self.bump(); // '('
@@ -738,7 +787,7 @@ impl Parser {
                         "void" | "char" | "short" | "int" | "long" | "unsigned" | "signed"
                             | "struct"
                             | "const"
-                    ) || self.typedefs.contains_key(s);
+                    ) || self.typedef(s).is_some();
                     if is_type {
                         self.bump();
                         let ty = self.type_name()?;
@@ -805,16 +854,8 @@ impl Parser {
                 self.bump();
                 Ok(Expr::CharLit { value, line })
             }
-            CTok::Str(s) => {
-                let value = s.clone();
-                self.bump();
-                Ok(Expr::StrLit { value, line })
-            }
-            CTok::Ident(s) => {
-                let name = s.clone();
-                self.bump();
-                Ok(Expr::Ident { name, line })
-            }
+            CTok::Str(_) => Ok(Expr::StrLit { value: self.take_text(), line }),
+            CTok::Ident(_) => Ok(Expr::Ident { name: self.take_text(), line }),
             CTok::Punct(Punct::LParen) => {
                 self.bump();
                 let e = self.expression()?;

@@ -6,6 +6,13 @@
 //! file set, `#ifdef`/`#ifndef`/`#else`/`#endif`, line continuations,
 //! block/line comments, and the `__FILE__`/`__LINE__` builtins (use-site
 //! semantics, which is what `dil_assert`'s panic message relies on).
+//!
+//! Directives are processed line by line, but macro expansion runs over
+//! the whole collected token stream at the end, against the final macro
+//! table. That is why a [`crate::Prelude`] records every identifier its
+//! prefix's expansion can look up: a later `#define` or `#undef` of one
+//! of them would change how the prefix expands, so such a mutant falls
+//! back to the full compile.
 
 use crate::error::{CError, CPhase};
 use crate::lexer::lex_line;
@@ -19,11 +26,57 @@ enum Macro {
     Function { params: Vec<String>, body: Vec<CToken> },
 }
 
+/// A unit's macro table: its own definitions over an optional shared
+/// base — a [`crate::Prelude`]'s table at its boundary, which the suffix
+/// of each mutant continues without copying.
+#[derive(Debug, Default)]
+struct Macros<'a> {
+    base: Option<&'a HashMap<String, Macro>>,
+    /// `None` shadows a base definition this unit `#undef`ed.
+    own: HashMap<String, Option<Macro>>,
+}
+
+impl Macros<'_> {
+    fn get(&self, name: &str) -> Option<&Macro> {
+        match self.own.get(name) {
+            Some(m) => m.as_ref(),
+            None => self.base.and_then(|b| b.get(name)),
+        }
+    }
+
+    /// [`Macros::get`], with the table's own copy of the name.
+    fn get_entry(&self, name: &str) -> Option<(&str, &Macro)> {
+        match self.own.get_key_value(name) {
+            Some((k, m)) => m.as_ref().map(|m| (k.as_str(), m)),
+            None => self.base?.get_key_value(name).map(|(k, m)| (k.as_str(), m)),
+        }
+    }
+
+    fn insert(&mut self, name: String, m: Macro) {
+        self.own.insert(name, Some(m));
+    }
+
+    fn remove(&mut self, name: &str) {
+        if self.base.is_some_and(|b| b.contains_key(name)) {
+            self.own.insert(name.to_string(), None);
+        } else {
+            self.own.remove(name);
+        }
+    }
+
+    /// The definitions of a table without a base.
+    fn into_own(self) -> HashMap<String, Macro> {
+        debug_assert!(self.base.is_none(), "only a base-less table flattens to its own");
+        self.own.into_iter().filter_map(|(name, m)| Some((name, m?))).collect()
+    }
+}
+
 /// Pre-lexed include files, reusable across many compiles of *mutated*
-/// drivers against the *same* headers — the hot shape of a mutation
-/// campaign, where only the driver file changes per mutant while the
-/// generated stub header (often the bulk of the token stream) is
-/// byte-identical every time.
+/// drivers against the *same* headers, where only the driver file
+/// changes per mutant while the generated stub header (often the bulk of
+/// the token stream) is byte-identical every time. It saves the lexing
+/// only; a [`crate::Prelude`] saves the whole front end and the lowering
+/// too, and is what campaigns use.
 ///
 /// Each entry caches the include's comment stripping, logical-line
 /// assembly and tokenisation; directives are kept as text and replayed, so
@@ -108,7 +161,7 @@ impl IncludeCache {
 fn prelex(name: &str, file_id: u16, source: &str) -> Option<PreLexed> {
     let text = strip_block_comments(source);
     let mut lines = Vec::new();
-    for (line, off, text) in logical_lines(&text) {
+    for (line, off, text) in logical_lines(&text, 1, 0) {
         let trimmed = text.trim_start();
         if let Some(rest) = trimmed.strip_prefix('#') {
             let rest = rest.trim_start();
@@ -149,8 +202,7 @@ pub fn preprocess(
 }
 
 /// Like [`preprocess`], resolving `#include` against a pre-lexed
-/// [`IncludeCache`] — the campaign fast path, where only the driver file
-/// changes between compiles.
+/// [`IncludeCache`], so only the driver file is lexed per compile.
 ///
 /// # Errors
 ///
@@ -170,48 +222,173 @@ fn preprocess_impl(
     includes: &[(&str, &str)],
     cache: Option<&IncludeCache>,
 ) -> Result<(Vec<CToken>, Vec<String>), CError> {
-    let mut pp = Preprocessor {
-        includes,
-        cache,
-        macros: HashMap::new(),
-        raw: Vec::new(),
-        depth: 0,
-        files: vec![file.to_string()],
-    };
+    let mut pp = Preprocessor::new(includes, cache, vec![file.to_string()]);
     pp.file(file, 0, source)?;
-    let raw = std::mem::take(&mut pp.raw);
-    let mut out = Vec::new();
-    let mut i = 0;
-    pp.expand(&raw, &mut i, raw.len(), &mut out, &HashSet::new())?;
-    out.push(CToken {
+    let mut out = pp.expand_raw()?;
+    out.push(eof(source));
+    Ok((out, pp.files))
+}
+
+/// A preprocessed unit: its expanded tokens and its file table (index =
+/// `file_id`).
+pub(crate) type Expanded = (Vec<CToken>, Vec<String>);
+
+/// The end-of-input token of a translation unit.
+fn eof(source: &str) -> CToken {
+    CToken {
         tok: CTok::Eof,
-        file: file.to_string(),
         file_id: 0,
         line: source.lines().count() as u32 + 1,
         pos: source.len(),
         len: 0,
-    });
-    Ok((out, pp.files))
+    }
+}
+
+/// Preprocessor state captured at a [`crate::Prelude`] boundary: the
+/// macro and file tables after the prefix, and where the suffix continues
+/// numbering.
+#[derive(Debug)]
+pub(crate) struct PpPrelude {
+    macros: HashMap<String, Macro>,
+    files: Vec<String>,
+    /// 1-based number of the first suffix line.
+    line: u32,
+    /// Every identifier the prefix's expansion can look up — its own
+    /// tokens and every macro name and body — computed the first time a
+    /// suffix `#define`s or `#undef`s anything.
+    reach: OnceLock<HashSet<String>>,
+}
+
+impl PpPrelude {
+    /// The file table at the boundary (index = `file_id`).
+    pub(crate) fn files(&self) -> &[String] {
+        &self.files
+    }
+}
+
+/// Byte offset just past the last `#include` line of `source` — where a
+/// [`crate::Prelude`] cuts it — or `None` when it has no `#include`, the
+/// text before the cut is not plain ASCII, or the cut falls inside a
+/// block comment or a string literal.
+pub(crate) fn prelude_boundary(source: &str) -> Option<usize> {
+    let (text, _) = strip_comments(source);
+    let lines = logical_lines(&text, 1, 0);
+    let last = lines.iter().rposition(|(_, _, l)| {
+        l.trim_start().strip_prefix('#').is_some_and(|d| {
+            let d = d.trim_start();
+            d.split_once(char::is_whitespace).map_or(d, |(d, _)| d) == "include"
+        })
+    })?;
+    let cut = lines.get(last + 1).map_or(source.len(), |(_, off, _)| *off);
+    let prefix = source.get(..cut)?;
+    (prefix.is_ascii() && strip_comments(prefix).1).then_some(cut)
+}
+
+/// Preprocess a prelude's prefix on its own: its expanded tokens (no
+/// end-of-input token) and the state a suffix continues from. `Err`
+/// carries why the prefix cannot stand alone — a preprocessing error or
+/// a macro call whose arguments may continue past the cut.
+pub(crate) fn preprocess_prefix(
+    file: &str,
+    prefix: &str,
+    includes: &[(&str, &str)],
+) -> Result<(Vec<CToken>, PpPrelude), String> {
+    let mut pp = Preprocessor::new(includes, None, vec![file.to_string()]);
+    pp.file(file, 0, prefix).map_err(|e| e.to_string())?;
+    if let Some(CToken { tok: CTok::Ident(name), .. }) = pp.raw.last() {
+        if matches!(pp.macros.get(name), Some(Macro::Function { .. })) {
+            return Err(format!("function-like macro `{name}` ends the prefix"));
+        }
+    }
+    let out = pp.expand_raw().map_err(|e| e.to_string())?;
+    let macros = std::mem::take(&mut pp.macros).into_own();
+    let line = prefix.matches('\n').count() as u32 + 1;
+    Ok((out, PpPrelude { macros, files: pp.files, line, reach: OnceLock::new() }))
+}
+
+impl PpPrelude {
+    /// [`PpPrelude::reach`], re-collecting the prefix's tokens once.
+    fn reach(&self, file: &str, prefix: &str, includes: &[(&str, &str)]) -> &HashSet<String> {
+        self.reach.get_or_init(|| {
+            let mut pp = Preprocessor::new(includes, None, vec![file.to_string()]);
+            pp.file(file, 0, prefix).expect("the prefix preprocessed when the prelude was built");
+            let mut reach = HashSet::new();
+            let mut note = |toks: &[CToken]| {
+                for t in toks {
+                    if let CTok::Ident(n) = &t.tok {
+                        if !reach.contains(n) {
+                            reach.insert(n.clone());
+                        }
+                    }
+                }
+            };
+            note(&pp.raw);
+            for m in self.macros.values() {
+                match m {
+                    Macro::Object(body) | Macro::Function { body, .. } => note(body),
+                }
+            }
+            reach.extend(self.macros.keys().cloned());
+            reach
+        })
+    }
+}
+
+/// Preprocess the part of `source` after a prelude's `cut` against the
+/// prelude's state, continuing its line and offset numbering: the
+/// suffix's expanded tokens (with `source`'s end-of-input token) and the
+/// file table. `Ok(None)` when the suffix `#define`s or `#undef`s a name
+/// the prefix's expansion reads — in a whole-unit preprocessing that
+/// would change how the prefix expands.
+///
+/// # Errors
+///
+/// Exactly the errors [`preprocess`] reports over the whole source.
+pub(crate) fn preprocess_suffix(
+    pre: &PpPrelude,
+    file: &str,
+    source: &str,
+    cut: usize,
+    includes: &[(&str, &str)],
+) -> Result<Option<Expanded>, CError> {
+    let mut pp = Preprocessor::new(includes, None, pre.files.clone());
+    pp.macros.base = Some(&pre.macros);
+    pp.touched = Some(Vec::new());
+    let done = pp.file_at(file, 0, &source[cut..], pre.line, cut);
+    let touched = pp.touched.take().unwrap_or_default();
+    if !touched.is_empty() {
+        let reach = pre.reach(file, &source[..cut], includes);
+        if touched.iter().any(|name| reach.contains(name)) {
+            return Ok(None);
+        }
+    }
+    done?;
+    let mut out = pp.expand_raw()?;
+    out.push(eof(source));
+    Ok(Some((out, pp.files)))
 }
 
 struct Preprocessor<'a> {
     includes: &'a [(&'a str, &'a str)],
     cache: Option<&'a IncludeCache>,
-    macros: HashMap<String, Macro>,
+    macros: Macros<'a>,
     raw: Vec<CToken>,
     depth: u32,
     files: Vec<String>,
+    /// The names a prelude suffix `#define`s or `#undef`s, when recorded.
+    touched: Option<Vec<String>>,
 }
 
 /// Split comment-stripped source into continuation-joined logical lines of
-/// `(start_line, start_offset, text)`.
-fn logical_lines(text: &str) -> Vec<(u32, usize, String)> {
+/// `(start_line, start_offset, text)`, numbering from `first_line` and
+/// `first_offset` (1 and 0 for a whole file).
+fn logical_lines(text: &str, first_line: u32, first_offset: usize) -> Vec<(u32, usize, String)> {
     let mut logical: Vec<(u32, usize, String)> = Vec::new();
     let mut cur = String::new();
-    let mut cur_start_line = 1u32;
-    let mut cur_start_off = 0usize;
-    let mut line_no = 1u32;
-    let mut offset = 0usize;
+    let mut cur_start_line = first_line;
+    let mut cur_start_off = first_offset;
+    let mut line_no = first_line;
+    let mut offset = first_offset;
     let mut continuing = false;
     #[allow(clippy::explicit_counter_loop)] // offset advances with line_no
     for line in text.split('\n') {
@@ -240,6 +417,12 @@ fn logical_lines(text: &str) -> Vec<(u32, usize, String)> {
 
 /// Strip `/* ... */` comments, preserving newlines so line numbers hold.
 fn strip_block_comments(src: &str) -> String {
+    strip_comments(src).0
+}
+
+/// [`strip_block_comments`], plus whether the text ends outside any
+/// block comment and string literal.
+fn strip_comments(src: &str) -> (String, bool) {
     let mut out = String::with_capacity(src.len());
     let b = src.as_bytes();
     let mut i = 0;
@@ -285,11 +468,53 @@ fn strip_block_comments(src: &str) -> String {
             i += 1;
         }
     }
-    out
+    (out, !in_comment && !in_str)
 }
 
 impl<'a> Preprocessor<'a> {
+    fn new(
+        includes: &'a [(&'a str, &'a str)],
+        cache: Option<&'a IncludeCache>,
+        files: Vec<String>,
+    ) -> Self {
+        Preprocessor {
+            includes,
+            cache,
+            macros: Macros::default(),
+            raw: Vec::new(),
+            depth: 0,
+            files,
+            touched: None,
+        }
+    }
+
+    /// The name of the file `t` came from.
+    fn file_name(&self, t: &CToken) -> &str {
+        self.files.get(usize::from(t.file_id)).map_or("<unknown>", String::as_str)
+    }
+
+    /// Macro-expand everything [`Preprocessor::file`] collected.
+    fn expand_raw(&mut self) -> Result<Vec<CToken>, CError> {
+        let mut out = Vec::new();
+        let raw = std::mem::take(&mut self.raw);
+        self.expand(raw, &mut out, &mut Vec::new())?;
+        Ok(out)
+    }
+
     fn file(&mut self, name: &str, file_id: u16, source: &str) -> Result<(), CError> {
+        self.file_at(name, file_id, source, 1, 0)
+    }
+
+    /// Process `source` as the text of `name` from line `first_line`,
+    /// byte offset `first_offset` on.
+    fn file_at(
+        &mut self,
+        name: &str,
+        file_id: u16,
+        source: &str,
+        first_line: u32,
+        first_offset: usize,
+    ) -> Result<(), CError> {
         self.depth += 1;
         if self.depth > 16 {
             return Err(CError::new(CPhase::Preprocess, name, 1, "include depth exceeded"));
@@ -297,7 +522,7 @@ impl<'a> Preprocessor<'a> {
         let text = strip_block_comments(source);
         // Conditional-inclusion stack: (parent_active, this_branch_taken).
         let mut cond: Vec<(bool, bool)> = Vec::new();
-        for (line, off, text) in logical_lines(&text) {
+        for (line, off, text) in logical_lines(&text, first_line, first_offset) {
             let trimmed = text.trim_start();
             let active = cond.iter().all(|(p, t)| *p && *t);
             if let Some(rest) = trimmed.strip_prefix('#') {
@@ -309,10 +534,10 @@ impl<'a> Preprocessor<'a> {
                         self.active_directive(name, file_id, line, off, directive, args)?;
                     }
                     "ifdef" => {
-                        cond.push((active, self.macros.contains_key(args.trim())));
+                        cond.push((active, self.macros.get(args.trim()).is_some()));
                     }
                     "ifndef" => {
-                        cond.push((active, !self.macros.contains_key(args.trim())));
+                        cond.push((active, self.macros.get(args.trim()).is_none()));
                     }
                     "else" => {
                         let Some((p, t)) = cond.pop() else {
@@ -395,6 +620,7 @@ impl<'a> Preprocessor<'a> {
         match directive {
             "define" => self.define(name, file_id, line, off, args.trim()),
             "undef" => {
+                self.touch(args.trim());
                 self.macros.remove(args.trim());
                 Ok(())
             }
@@ -452,6 +678,12 @@ impl<'a> Preprocessor<'a> {
         }
     }
 
+    fn touch(&mut self, name: &str) {
+        if let Some(touched) = &mut self.touched {
+            touched.push(name.to_string());
+        }
+    }
+
     fn define(
         &mut self,
         file: &str,
@@ -468,6 +700,7 @@ impl<'a> Preprocessor<'a> {
             return Err(CError::new(CPhase::Preprocess, file, line, "#define needs a name"));
         };
         let name = name.clone();
+        self.touch(&name);
         // Function-like iff '(' immediately follows the name in the source.
         let fn_like = toks.len() > 1
             && toks[1].tok == CTok::Punct(Punct::LParen)
@@ -537,58 +770,58 @@ impl<'a> Preprocessor<'a> {
         Ok(())
     }
 
-    /// Expand `input[*i..end]` into `out`.
-    fn expand(
-        &self,
-        input: &[CToken],
-        i: &mut usize,
-        end: usize,
+    /// Expand `input` into `out`, moving its tokens rather than copying
+    /// them. `hidden` holds the macros being expanded (the recursion
+    /// guard).
+    fn expand<'s>(
+        &'s self,
+        mut input: Vec<CToken>,
         out: &mut Vec<CToken>,
-        hidden: &HashSet<String>,
+        hidden: &mut Vec<&'s str>,
     ) -> Result<(), CError> {
-        while *i < end {
-            let t = &input[*i];
-            *i += 1;
+        let mut i = 0;
+        while i < input.len() {
+            let t = take_token(&mut input[i]);
+            i += 1;
             let CTok::Ident(name) = &t.tok else {
-                out.push(t.clone());
+                out.push(t);
                 continue;
             };
             if name == "__FILE__" {
-                out.push(CToken::synthesized(CTok::Str(t.file.clone()), t));
+                out.push(CToken::synthesized(CTok::Str(self.file_name(&t).to_string()), &t));
                 continue;
             }
             if name == "__LINE__" {
                 out.push(CToken::synthesized(
                     CTok::Int { value: t.line as u64, text: t.line.to_string() },
-                    t,
+                    &t,
                 ));
                 continue;
             }
-            if hidden.contains(name) {
-                out.push(t.clone());
+            if hidden.contains(&name.as_str()) {
+                out.push(t);
                 continue;
             }
-            match self.macros.get(name) {
-                Some(Macro::Object(body)) => {
-                    let mut sub_hidden = hidden.clone();
-                    sub_hidden.insert(name.clone());
-                    let relocated = relocate(body, t);
-                    let mut j = 0;
-                    self.expand(&relocated, &mut j, relocated.len(), out, &sub_hidden)?;
+            match self.macros.get_entry(name) {
+                Some((key, Macro::Object(body))) => {
+                    hidden.push(key);
+                    let expanded = self.expand(relocate(body, &t), out, hidden);
+                    hidden.pop();
+                    expanded?;
                 }
-                Some(Macro::Function { params, body }) => {
+                Some((key, Macro::Function { params, body })) => {
                     // Only a call if '(' follows; otherwise plain identifier.
-                    if input.get(*i).map(|n| &n.tok) != Some(&CTok::Punct(Punct::LParen)) {
-                        out.push(t.clone());
+                    if input.get(i).map(|n| &n.tok) != Some(&CTok::Punct(Punct::LParen)) {
+                        out.push(t);
                         continue;
                     }
-                    *i += 1; // consume '('
-                    let args = collect_args(input, i, t)?;
+                    i += 1; // consume '('
+                    let args = collect_args(&mut input, &mut i, &t, self.file_name(&t))?;
                     if args.len() != params.len() && !(params.is_empty() && args.len() == 1 && args[0].is_empty())
                     {
                         return Err(CError::new(
                             CPhase::Preprocess,
-                            &t.file,
+                            self.file_name(&t),
                             t.line,
                             format!(
                                 "macro `{name}` expects {} argument(s), got {}",
@@ -601,25 +834,34 @@ impl<'a> Preprocessor<'a> {
                     // unexpanded, then the whole body is rescanned — close
                     // enough to C for this subset).
                     let mut substituted = Vec::new();
-                    for bt in relocate(body, t) {
+                    for bt in relocate(body, &t) {
                         if let CTok::Ident(p) = &bt.tok {
                             if let Some(idx) = params.iter().position(|q| q == p) {
-                                substituted.extend(relocate(&args[idx], t));
+                                substituted.extend(relocate(&args[idx], &t));
                                 continue;
                             }
                         }
                         substituted.push(bt);
                     }
-                    let mut sub_hidden = hidden.clone();
-                    sub_hidden.insert(name.clone());
-                    let mut j = 0;
-                    self.expand(&substituted, &mut j, substituted.len(), out, &sub_hidden)?;
+                    hidden.push(key);
+                    let expanded = self.expand(substituted, out, hidden);
+                    hidden.pop();
+                    expanded?;
                 }
-                None => out.push(t.clone()),
+                None => out.push(t),
             }
         }
         Ok(())
     }
+}
+
+/// Move a token out of an expansion buffer, leaving an allocation-free
+/// placeholder (the buffer is never read behind its cursor again).
+fn take_token(slot: &mut CToken) -> CToken {
+    std::mem::replace(
+        slot,
+        CToken { tok: CTok::Eof, file_id: 0, line: 0, pos: 0, len: 0 },
+    )
 }
 
 /// Token-sequence equality ignoring positions (for redefinition checks —
@@ -645,7 +887,6 @@ fn relocate(body: &[CToken], site: &CToken) -> Vec<CToken> {
             if is_location_builtin {
                 CToken {
                     tok: t.tok.clone(),
-                    file: site.file.clone(),
                     file_id: site.file_id,
                     line: site.line,
                     pos: t.pos,
@@ -660,17 +901,18 @@ fn relocate(body: &[CToken], site: &CToken) -> Vec<CToken> {
 
 /// Collect macro-call arguments; `*i` sits just past the '('.
 fn collect_args(
-    input: &[CToken],
+    input: &mut [CToken],
     i: &mut usize,
     site: &CToken,
+    site_file: &str,
 ) -> Result<Vec<Vec<CToken>>, CError> {
     let mut args: Vec<Vec<CToken>> = vec![Vec::new()];
     let mut depth = 0u32;
     loop {
-        let Some(t) = input.get(*i) else {
+        let Some(t) = input.get_mut(*i).map(take_token) else {
             return Err(CError::new(
                 CPhase::Preprocess,
-                &site.file,
+                site_file,
                 site.line,
                 "unterminated macro call",
             ));
@@ -679,25 +921,25 @@ fn collect_args(
         match &t.tok {
             CTok::Punct(Punct::LParen) => {
                 depth += 1;
-                args.last_mut().expect("non-empty").push(t.clone());
+                args.last_mut().expect("non-empty").push(t);
             }
             CTok::Punct(Punct::RParen) => {
                 if depth == 0 {
                     return Ok(args);
                 }
                 depth -= 1;
-                args.last_mut().expect("non-empty").push(t.clone());
+                args.last_mut().expect("non-empty").push(t);
             }
             CTok::Punct(Punct::Comma) if depth == 0 => args.push(Vec::new()),
             CTok::Eof => {
                 return Err(CError::new(
                     CPhase::Preprocess,
-                    &site.file,
+                    site_file,
                     site.line,
                     "unterminated macro call",
                 ));
             }
-            _ => args.last_mut().expect("non-empty").push(t.clone()),
+            _ => args.last_mut().expect("non-empty").push(t),
         }
     }
 }
@@ -827,8 +1069,9 @@ mod tests {
             .collect();
         assert_eq!(ids, vec!["inside", "after"]);
         // Included tokens carry their own file name.
+        let (ts, files) = preprocess("m.c", "#include \"h.h\"\nafter;", &[("h.h", "inside;")]).unwrap();
         let inside = ts.iter().find(|t| t.tok == CTok::Ident("inside".into())).unwrap();
-        assert_eq!(inside.file, "h.h");
+        assert_eq!(files[usize::from(inside.file_id)], "h.h");
     }
 
     #[test]

@@ -152,10 +152,9 @@ impl fmt::Display for CTok {
 pub struct CToken {
     /// The token itself.
     pub tok: CTok,
-    /// Source file name.
-    pub file: String,
-    /// Numeric id of `file` assigned by the preprocessor (0 for the main
-    /// file), used to build packed line ids.
+    /// The source file, as its index in the unit's file table (the list
+    /// [`crate::pp::preprocess`] returns; 0 for the main file). Also the
+    /// file half of packed line ids.
     pub file_id: u16,
     /// 1-based line in that file (use-site line for macro expansions).
     pub line: u32,
@@ -171,7 +170,6 @@ impl CToken {
     pub fn synthesized(tok: CTok, like: &CToken) -> Self {
         CToken {
             tok,
-            file: like.file.clone(),
             file_id: like.file_id,
             line: like.line,
             pos: 0,

@@ -1257,7 +1257,9 @@ impl<'a, H: Host> Vm<'a, H> {
     /// are almost nothing but this.
     #[inline(always)]
     fn exec_fused(&mut self, f: &FusedOp) -> VmResult<Option<u32>> {
-        for l in f.pre.iter() {
+        let program: &'a CompiledProgram = self.program;
+        let (start, len) = (f.pre.0 as usize, f.pre.1 as usize);
+        for l in &program.fused_lines[start..start + len] {
             self.burn(*l)?;
         }
         let mut v = match &f.src {

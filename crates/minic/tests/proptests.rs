@@ -235,3 +235,93 @@ proptest! {
         prop_assert_eq!(got, 1, "exactly one of <, >, == holds");
     }
 }
+
+/// The part of the prelude property's header every case keeps.
+const HEADER_BASE: &str = "typedef unsigned char u8;\n#define K 7\n#define TWICE(x) ((x) + (x))\n\
+    #define NEG(x) (-(x))\nstatic int hg = 3;\nstruct P_ { int a; u8 b; };\ntypedef struct P_ P;\n\
+    static int h1(int v) { return TWICE(v) + hg; }\n";
+
+/// Further header pieces, in dependency order, with whether each is
+/// *rare* (kept by one case in 16; the others by every other case):
+/// globals, a struct only forward-declared, bodies that call each
+/// other, a prototype the driver may define, and a body naming a symbol
+/// only a driver defines.
+const HEADER_PIECES: &[(&str, bool)] = &[
+    ("static const int hk = K;", false),
+    ("struct F_;", true),
+    ("static int h2(void) { int i; int s = 0; for (i = 0; i < 4; i++) { s += h1(i); } return s; }", false),
+    ("int later(void);\nstatic int h3(void) { return later() + 1; }", true),
+    ("static int h5(int x) { switch (x) { case 1: return K; default: return NEG(x); } }", false),
+    ("static int h4(void) { return drv_only; }", true),
+];
+
+/// Driver pieces — the text after the `#include`: code using the header,
+/// and (rare) compile errors and edits that reach back into the prefix.
+const DRIVER_PIECES: &[(&str, bool)] = &[
+    ("int drv_only;", true),
+    ("int d1(void) { return h1(K) + hg; }", false),
+    ("int d2(void) { P p; p.a = TWICE(2); p.b = 1; return p.a + p.b; }", false),
+    ("int d3(int n) { return n > 0 ? h1(n) : hg; }", false),
+    ("int later(void) { return 5; }", true),
+    ("#define K 8", true),
+    ("#define FRESH 11\nint d4(void) { return FRESH; }", false),
+    ("struct F_ { int q; };", true),
+    ("int h1(u8 v);", true),
+    ("int h1(int v);", true),
+    ("int d5(void) { return undeclared; }", true),
+    ("int d6(void) { return TWICE(1, 2); }", true),
+    ("int d7(void) { return h1(2) + ; }", true),
+    ("int d8(void) { return strcmp(\"a\", \"b\") + d1(); }", false),
+    ("static int hg;", true),
+];
+
+/// Text before the `#include` line.
+const PREFIX_PIECES: &[&str] = &["", "/* glue */\n", "int early;\n", "static int early2 = 1;\n"];
+
+/// The pieces `mask` keeps (a rare piece also needs its bit in `rare`,
+/// which the cases draw as the AND of three words).
+fn pick(pieces: &[(&str, bool)], mask: u32, rare: u32) -> String {
+    let keep = |i: usize, is_rare: bool| mask >> i & 1 == 1 && (!is_rare || rare >> i & 1 == 1);
+    pieces
+        .iter()
+        .enumerate()
+        .filter(|(i, (_, is_rare))| keep(*i, *is_rare))
+        .map(|(_, (p, _))| format!("{p}\n"))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The prelude path gives exactly the whole-unit compile: a
+    /// structurally equal program, or the same error text — whether it
+    /// serves the compile or declines to the full one.
+    #[test]
+    fn prelude_matches_the_whole_unit(
+        header in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        driver in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        base_driver in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        prefix in prop::sample::select(PREFIX_PIECES.to_vec()),
+    ) {
+        let rare = |w: (u32, u32, u32, u32)| (w.0, w.1 & w.2 & w.3);
+        let (h, hr) = rare(header);
+        let header = format!("{HEADER_BASE}{}", pick(HEADER_PIECES, h, hr));
+        let includes = [("h.h", header.as_str())];
+        let (d, dr) = rare(driver);
+        let source = format!("{prefix}#include \"h.h\"\n{}", pick(DRIVER_PIECES, d, dr));
+        // The prelude is cut from a sibling source sharing the prefix, as
+        // a campaign machine cuts it from its first mutant.
+        let (b, br) = rare(base_driver);
+        let base = format!("{prefix}#include \"h.h\"\n{}", pick(DRIVER_PIECES, b, br));
+        let prelude = devil_minic::Prelude::new("drv.c", &base, &includes);
+        let got = devil_minic::compile_with_prelude(&prelude, &source).map_err(|e| e.to_string());
+        let want = devil_minic::compile_with_includes("drv.c", &source, &includes)
+            .map(|p| p.to_bytecode())
+            .map_err(|e| e.to_string());
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => prop_assert!(g == w, "programs differ"),
+            _ => prop_assert_eq!(got.err(), want.err()),
+        }
+        prop_assert_eq!(prelude.served() + prelude.fallbacks(), 1);
+    }
+}

@@ -127,13 +127,14 @@ pub fn effective_threads(threads: usize) -> usize {
 /// pool, same workspace reuse, same ordering guarantees.
 ///
 /// Both closures only need `Sync`, so compile artifacts that are immutable
-/// for the whole campaign — a pre-lexed header set
-/// (`devil_minic::pp::IncludeCache`), a lowered baseline program, shared
-/// spec interning tables — should be built **once, outside the campaign**,
+/// for the whole campaign — a driver's compiled stub headers
+/// (`devil_minic::Prelude`), a lowered baseline program, shared spec
+/// interning tables — should be built **once, outside the campaign**,
 /// and borrowed by every worker through closure capture, rather than
-/// rebuilt per workspace. The kernel crate's `CampaignMachine::run_cached`
-/// is the canonical example: one header lexing pass serves every worker's
-/// thousands of mutant compiles.
+/// rebuilt per workspace. The kernel crate's `ScenarioMachine::run_cached`
+/// is the canonical example: one compile of the headers serves every
+/// worker's thousands of mutant compiles, each of which compiles only the
+/// driver text after its last `#include`.
 ///
 /// ```
 /// use devil_mutagen::{Campaign, Mutant};
@@ -638,7 +639,7 @@ mod tests {
 
     #[test]
     fn campaign_workers_share_captured_artifacts() {
-        // The pattern the kernel's include cache uses: one immutable
+        // The pattern the kernel's shared prelude uses: one immutable
         // artifact built before the campaign, borrowed by every worker.
         let shared: Vec<usize> = (0..100).collect();
         let ms = mutants(32);

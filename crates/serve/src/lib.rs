@@ -3,8 +3,8 @@
 //!
 //! The batch engine (`devil_mutagen::Campaign`) answers "classify these
 //! N mutants" and exits. This crate keeps the same classification
-//! machinery resident: simulated machines stay built, include caches
-//! stay lexed, and mutants arrive as requests over a byte stream —
+//! machinery resident: simulated machines stay built, stub headers stay
+//! compiled, and mutants arrive as requests over a byte stream —
 //! which is how a CI fleet or a fuzzing frontend would actually consume
 //! the service, and what makes *tail latency* a first-class number next
 //! to throughput.

@@ -14,7 +14,8 @@
 //!   (`Campaign::run_queue`): one workspace per worker, holding one
 //!   snapshot-reset [`ScenarioMachine`] per *workload* (scenario ×
 //!   fault plan × seed) built lazily on first use, with one shared
-//!   pre-lexed [`IncludeCache`] per driver file serving every worker;
+//!   [`Prelude`] per driver file (its stub headers compiled once, on the
+//!   first request for that driver) serving every worker;
 //! * **delivery** — each job carries the sender of its connection's
 //!   response channel, so outcomes stream back to whoever asked,
 //!   whatever worker classified them.
@@ -54,13 +55,13 @@ use crate::proto::{
     read_frame, write_frame, QuarantinedPair, Request, Response, ServiceStats, SubmitMutant,
 };
 use devil_drivers::corpus::{
-    build_faulted, build_scenario, driver_headers, scenario_names, spec_revision,
+    build_faulted, build_scenario, scenario_catalog, scenario_names, spec_revision,
 };
 use devil_hwsim::FaultPlan;
 use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::scenario::{Deadline, Scenario, ScenarioMachine};
 use devil_kernel::Outcome;
-use devil_minic::pp::IncludeCache;
+use devil_minic::Prelude;
 use devil_mutagen::ledger::fnv1a;
 use devil_mutagen::{
     effective_threads, source_fingerprint, Campaign, JobQueue, Ledger, LedgerKey, Quarantine,
@@ -70,7 +71,7 @@ use std::io::{self, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How long the drain supervisor waits for writer threads to flush their
@@ -343,29 +344,35 @@ impl BreakerSet {
 }
 
 /// Request-routing tables, built once per server from the driver catalog:
-/// the known scenario names, and one shared pre-lexed include cache per
-/// driver file.
+/// the known driver files, each with the [`Prelude`] its mutants compile
+/// through, shared by every worker.
 struct Routes {
-    caches: HashMap<&'static str, Arc<IncludeCache>>,
+    drivers: HashMap<&'static str, Route>,
+}
+
+/// One routed driver file. A driver with headers compiles them on the
+/// first request for the file, so start-up stays cheap; one without gets
+/// its (trivial) prelude at server start — built lazily on a worker
+/// instead, its few allocations shifted the allocator's arena placement
+/// and raised the service's peak RSS by several MiB in half the runs.
+struct Route {
+    source: &'static str,
+    headers: Vec<(String, String)>,
+    prelude: OnceLock<Prelude>,
 }
 
 impl Routes {
     fn build() -> Routes {
-        let mut caches = HashMap::new();
-        for case in devil_drivers::corpus::scenario_catalog() {
-            for v in &case.drivers {
-                caches.entry(v.file).or_insert_with(|| {
-                    let headers =
-                        driver_headers(v.file).expect("catalog file resolves");
-                    let refs: Vec<(&str, &str)> = headers
-                        .iter()
-                        .map(|(a, b)| (a.as_str(), b.as_str()))
-                        .collect();
-                    Arc::new(IncludeCache::new(&refs))
-                });
+        let mut drivers = HashMap::new();
+        for v in scenario_catalog().into_iter().flat_map(|case| case.drivers) {
+            let prelude = OnceLock::new();
+            if v.headers.is_empty() {
+                let _ = prelude.set(Prelude::new(v.file, v.source, &[]));
             }
+            let route = Route { source: v.source, headers: v.headers, prelude };
+            drivers.entry(v.file).or_insert(route);
         }
-        Routes { caches }
+        Routes { drivers }
     }
 
     /// Validate a submission's routing fields; `Err` is the message for a
@@ -385,14 +392,19 @@ impl Routes {
                 FaultPlan::plan_names().join(", ")
             ));
         }
-        if !self.caches.contains_key(s.file.as_str()) {
+        if !self.drivers.contains_key(s.file.as_str()) {
             return Err(format!("unknown driver file `{}`", s.file));
         }
         Ok(())
     }
 
-    fn cache_for(&self, file: &str) -> &IncludeCache {
-        self.caches.get(file).expect("validated at admission")
+    fn prelude_for(&self, file: &str) -> &Prelude {
+        let route = self.drivers.get(file).expect("validated at admission");
+        route.prelude.get_or_init(|| {
+            let refs: Vec<(&str, &str)> =
+                route.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+            Prelude::new(file, route.source, &refs)
+        })
     }
 }
 
@@ -783,9 +795,8 @@ pub fn serve_with<S: Duplex>(
                     ws.entry(key).or_insert_with(|| build_machine(&job.req, fuel));
                 let dead = (job.req.dead_line != 0).then_some(job.req.dead_line);
                 let (outcome, detail) = machine.run_cached(
-                    &job.req.file,
                     &job.req.source,
-                    routes.cache_for(&job.req.file),
+                    routes.prelude_for(&job.req.file),
                     dead,
                     job.expires_at.map(Deadline::at),
                 );

@@ -24,7 +24,7 @@ use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
 use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::scenario::{Deadline, ScenarioMachine, CHAOS_PANIC_MARKER};
 use devil_kernel::Outcome;
-use devil_minic::pp::IncludeCache;
+use devil_minic::Prelude;
 use devil_mutagen::c::CMutationModel;
 use devil_mutagen::{sample, Campaign, Mutant};
 use devil_serve::proto::{read_frame, write_frame, Request, Response, SubmitMutant};
@@ -44,7 +44,7 @@ fn batch_outcomes(w: &Workload, mutants: &[Mutant], file: &'static str) -> Vec<O
     let v = find_variant(w.scenario, w.driver).expect("catalog workload");
     let incs: Vec<(&str, &str)> =
         v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-    let cache = IncludeCache::new(&incs);
+    let prelude = Prelude::new(file, v.source, &incs);
     Campaign::new(
         || {
             let scenario = if w.plan.is_empty() {
@@ -59,7 +59,7 @@ fn batch_outcomes(w: &Workload, mutants: &[Mutant], file: &'static str) -> Vec<O
             ScenarioMachine::with_scenario(scenario, DEFAULT_FUEL)
         },
         |machine: &mut ScenarioMachine<_>, m: &Mutant| {
-            machine.run_cached(file, &m.source, &cache, Some(m.line), None).0
+            machine.run_cached(&m.source, &prelude, Some(m.line), None).0
         },
     )
     .with_threads(4)
@@ -283,7 +283,7 @@ fn chaos_mutants_leave_the_service_standing_and_others_unperturbed() {
 
     let incs: Vec<(&str, &str)> =
         v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-    let cache = IncludeCache::new(&incs);
+    let prelude = Prelude::new(v.file, v.source, &incs);
     let batch: Vec<Outcome> = Campaign::new(
         || {
             let scenario = build_scenario("mouse-stream").expect("catalog scenario");
@@ -293,7 +293,7 @@ fn chaos_mutants_leave_the_service_standing_and_others_unperturbed() {
             let deadline = s
                 .deadline_ms
                 .map(|ms| Deadline::after(Duration::from_millis(u64::from(ms))));
-            machine.run_cached(v.file, &s.source, &cache, s.dead_line, deadline).0
+            machine.run_cached(&s.source, &prelude, s.dead_line, deadline).0
         },
     )
     .supervised(|_s: &Shot, _msg: &str| Outcome::EngineError)

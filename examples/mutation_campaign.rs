@@ -37,10 +37,12 @@
 //! (IDE platter restores ride the dirty-sector journal; the fault
 //! interposer's cursor rewinds with the snapshot, so every mutant sees
 //! the same fault sequence), instead of being reconstructed ~100 times.
-//! The generated stub headers are pre-lexed once per campaign into a
-//! shared [`IncludeCache`] (it is `Sync`), so every worker re-lexes only
-//! the spliced driver file, and each mutant runs through the minic
-//! bytecode VM.
+//! The driver's stub headers — and any driver text before its last
+//! `#include` — are preprocessed, parsed, checked and lowered once per
+//! campaign into a shared [`Prelude`] (it is `Sync`), so every worker
+//! compiles only the driver text after the headers (any mutant the
+//! prelude cannot prove equivalent falls back to the full compile), and
+//! each mutant runs through the minic bytecode VM.
 
 use devil::drivers::corpus::{
     build_faulted, build_scenario, scenario_catalog, scenario_names, DriverVariant,
@@ -48,7 +50,7 @@ use devil::drivers::corpus::{
 use devil::hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
 use devil::kernel::boot::{Outcome, DEFAULT_FUEL};
 use devil::kernel::scenario::ScenarioMachine;
-use devil::minic::pp::IncludeCache;
+use devil::minic::Prelude;
 use devil::mutagen::c::CMutationModel;
 use devil::mutagen::{sample, source_fingerprint, Campaign, Ledger, LedgerKey, Mutant};
 use devil_bench::tables::parse_seed;
@@ -66,9 +68,8 @@ fn campaign(
     let mutants = sample(model.mutants(), 0.05, 42);
     let incs: Vec<(&str, &str)> =
         v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-    // One pre-lexed header set for the whole campaign; workers share it.
-    let cache = IncludeCache::new(&incs);
-    let file = v.file;
+    // One compiled header set for the whole campaign; workers share it.
+    let prelude = Prelude::new(v.file, v.source, &incs);
     let runner = Campaign::new(
         || {
             let scenario = match plan {
@@ -79,7 +80,7 @@ fn campaign(
             ScenarioMachine::with_scenario(scenario, DEFAULT_FUEL)
         },
         |machine: &mut ScenarioMachine<_>, m: &Mutant| {
-            machine.run_cached(file, &m.source, &cache, Some(m.line), None).0
+            machine.run_cached(&m.source, &prelude, Some(m.line), None).0
         },
     )
     .with_threads(threads);
@@ -93,7 +94,7 @@ fn campaign(
                 &mutants,
                 ledger,
                 |m| LedgerKey {
-                    file: file.to_string(),
+                    file: v.file.to_string(),
                     source: source_fingerprint(&m.source),
                     scenario: scenario_name.to_string(),
                     plan: plan_name.clone(),

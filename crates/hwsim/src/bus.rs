@@ -224,6 +224,16 @@ impl std::error::Error for MapError {}
 /// Offsets passed to [`IoDevice::read`]/[`IoDevice::write`] are relative to
 /// the mapping base. Models are free to keep arbitrary internal state; the
 /// bus clock is advanced by one tick per access and delivered via `tick`.
+///
+/// # Loop fast-forward hooks
+///
+/// [`IoDevice::read_is_pure`] and [`IoDevice::quiet_ticks`] let a driver
+/// engine skip the repeats of a polling loop in closed form (see
+/// [`IoSpace::effect_mark`]). Both speak about the [`IoDevice::save`]
+/// bytes: a pure read leaves them as they were, and so does any `tick`
+/// below the quiet horizon. The defaults (`false`, `0`) disable the skip
+/// on every machine the device is mapped in, which is always correct; the
+/// crate's proptests check both contracts on every bundled model.
 pub trait IoDevice: Any {
     /// Short device name used in traces and faults.
     fn name(&self) -> &str;
@@ -320,6 +330,37 @@ pub trait IoDevice: Any {
     fn write_block(&mut self, offset: u16, size: AccessSize, values: &[u32]) -> bool {
         let _ = (offset, size, values);
         false
+    }
+
+    /// Whether a read at `offset` of `size` leaves the device's state (its
+    /// [`IoDevice::save`] bytes) exactly as it was — a status or register
+    /// read, as opposed to a FIFO pop, a data-port stream or a
+    /// read-to-clear latch. Asked right before the read, after pending
+    /// ticks were delivered.
+    ///
+    /// Part of the loop fast-forward contract (see [`IoSpace::effect_mark`]):
+    /// [`IoSpace`] counts every read a device does not declare pure as an
+    /// effect, and only a loop without effects can be skipped. Answering
+    /// `true` for a read that changes state makes skipped runs diverge;
+    /// the default, `false`, is always correct.
+    fn read_is_pure(&self, offset: u16, size: AccessSize) -> bool {
+        let _ = (offset, size);
+        false
+    }
+
+    /// Ticks the device stays unchanged on its own from its current
+    /// state: [`IoDevice::tick`] with any count below this must leave the
+    /// [`IoDevice::save`] bytes exactly as they are. `u64::MAX` for a
+    /// device with no timer running; `0` while a countdown (a busy timer,
+    /// a drain clock) is in the saved state, because every tick moves it.
+    ///
+    /// The loop fast-forward never lets the bus clock run past the
+    /// smallest horizon of the mapped devices, and it advances the lazy
+    /// tick bookkeeping of skipped stretches without calling `tick`, which
+    /// is exact only under this contract. The default, `0`, disables the
+    /// fast-forward on any machine the device is mapped in.
+    fn quiet_ticks(&self) -> u64 {
+        0
     }
 
     /// Upcast for state inspection in tests and the boot harness.
@@ -453,6 +494,31 @@ pub struct IoSpace {
     /// Deterministic hardware-fault interposer, when installed (see
     /// [`crate::fault`]). Sits between routing and the CPU-visible values.
     faults: Option<FaultInterposer>,
+    /// Effect counter for [`IoSpace::effect_mark`]: bumped by every write,
+    /// every read a device does not declare pure, every block transfer
+    /// and every [`IoSpace::note_effect`]. Not machine state — snapshots
+    /// neither save nor restore it; only its changes within a run count.
+    epoch: u64,
+}
+
+/// The I/O space's state at one point of a run, for the loop
+/// fast-forward of a driver's execution engine — see
+/// [`IoSpace::effect_mark`] and [`IoSpace::fast_forward`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IoMark {
+    /// Effect counter: equal at two points means no write, no impure
+    /// read and no noted effect in between.
+    pub epoch: u64,
+    /// Bus clock.
+    pub clock: u64,
+    /// Reads so far.
+    pub reads: u64,
+    /// Writes so far.
+    pub writes: u64,
+    /// Bus ticks from now before any mapped device may change on its own
+    /// (the smallest [`IoDevice::quiet_ticks`], less each device's ticks
+    /// not yet delivered).
+    pub horizon: u64,
 }
 
 impl fmt::Debug for IoSpace {
@@ -487,6 +553,7 @@ impl IoSpace {
             writes: 0,
             trace: None,
             faults: None,
+            epoch: 0,
         }
     }
 
@@ -739,6 +806,73 @@ impl IoSpace {
         }
     }
 
+    /// A mark of the space's state for a driver engine's loop
+    /// fast-forward, or `None` when the space cannot be fast-forwarded:
+    /// while a fault plan is installed (faults are sampled per access) or
+    /// tracing is on (the wire log keeps every access) — the same gating
+    /// as the block-transfer fast path.
+    ///
+    /// Two marks with the same epoch prove that between them the space
+    /// saw no write, no read with a side effect, no block transfer and no
+    /// [`IoSpace::note_effect`]: every device's state changed at most by
+    /// ticks, and the horizon bounds those.
+    pub fn effect_mark(&self) -> Option<IoMark> {
+        if self.faults.is_some() || self.trace.is_some() {
+            return None;
+        }
+        let horizon = self
+            .devices
+            .iter()
+            .zip(&self.last_sync)
+            .map(|(dev, &synced)| match dev.quiet_ticks() {
+                u64::MAX => u64::MAX,
+                quiet => quiet.saturating_sub(self.clock - synced),
+            })
+            .min()
+            .unwrap_or(u64::MAX);
+        Some(IoMark {
+            epoch: self.epoch,
+            clock: self.clock,
+            reads: self.reads,
+            writes: self.writes,
+            horizon,
+        })
+    }
+
+    /// Count an effect the space does not see itself (the kernel host's
+    /// console output), so that no mark spans it.
+    pub fn note_effect(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// Advance the space by `periods` repetitions of the stretch between
+    /// `from` and `to` — two marks with equal epochs, `to` the current
+    /// state — as if the accesses of that stretch had been replayed
+    /// `periods` times: the clock and the access counters advance by
+    /// `periods ×` their deltas, and every device touched in the stretch
+    /// has its lazy-tick position moved along with the clock. No `tick`
+    /// is delivered; the caller keeps the clock below the marks' horizon,
+    /// where ticks leave device state unchanged ([`IoDevice::quiet_ticks`]).
+    pub fn fast_forward(&mut self, periods: u64, from: &IoMark, to: &IoMark) {
+        debug_assert_eq!(from.epoch, to.epoch, "a period with effects cannot repeat");
+        debug_assert_eq!(
+            (to.epoch, to.clock, to.reads, to.writes),
+            (self.epoch, self.clock, self.reads, self.writes),
+            "`to` must be the current state"
+        );
+        let shift = periods * (to.clock - from.clock);
+        // A device touched in the stretch synced after its start, and
+        // would sync at the same offset in every replayed stretch.
+        for synced in &mut self.last_sync {
+            if *synced > from.clock {
+                *synced += shift;
+            }
+        }
+        self.clock += shift;
+        self.reads += periods * (to.reads - from.reads);
+        self.writes += periods * (to.writes - from.writes);
+    }
+
     /// Deliver device `idx`'s pending ticks.
     #[inline]
     fn touch(&mut self, idx: usize) {
@@ -773,8 +907,11 @@ impl IoSpace {
             } else {
                 let (idx, base) = unpack_slot(slot);
                 self.touch(idx);
-                self.devices[idx]
-                    .read(port - base, size)
+                let dev = &mut self.devices[idx];
+                if !dev.read_is_pure(port - base, size) {
+                    self.epoch += 1;
+                }
+                dev.read(port - base, size)
                     .map_err(|fault| BusFault::Device { port, fault })?
             }
         } else {
@@ -817,6 +954,7 @@ impl IoSpace {
             // accepting device is tick-batch-insensitive by contract.
             self.touch(idx);
             if self.devices[idx].read_block(port - base, size, out) {
+                self.epoch += 1;
                 let n = out.len() as u64;
                 self.clock += n;
                 self.reads += n;
@@ -848,6 +986,7 @@ impl IoSpace {
             let (idx, base) = unpack_slot(slot);
             self.touch(idx);
             if self.devices[idx].write_block(port - base, size, values) {
+                self.epoch += 1;
                 let n = values.len() as u64;
                 self.clock += n;
                 self.writes += n;
@@ -867,6 +1006,7 @@ impl IoSpace {
     pub(crate) fn write_any(&mut self, port: u16, size: AccessSize, value: u32) -> Result<(), BusFault> {
         self.clock += 1;
         self.writes += 1;
+        self.epoch += 1;
         let mut value = value & size.mask();
         // The trace records what the CPU issued; a write fault below may
         // still drop or corrupt it on the way to the model.
@@ -979,6 +1119,14 @@ impl IoDevice for ScratchRegisters {
             self.bytes[start + i] = (value >> (8 * i)) as u8;
         }
         Ok(())
+    }
+
+    fn read_is_pure(&self, _offset: u16, _size: AccessSize) -> bool {
+        true
+    }
+
+    fn quiet_ticks(&self) -> u64 {
+        u64::MAX
     }
 
     fn save(&self, w: &mut StateWriter<'_>) {
@@ -1230,6 +1378,72 @@ mod tests {
         io.restore(&snap).unwrap();
         io.outb(0x10, 2).unwrap();
         assert!(io.take_trace().is_empty(), "tracing state follows the snapshot");
+    }
+
+    fn polled_machine() -> IoSpace {
+        use crate::devices::{IdeController, IdeDisk};
+        let mut io = IoSpace::new();
+        io.map(0x1F0, 9, Box::new(IdeController::new(IdeDisk::small()))).unwrap();
+        io.map(0x100, 4, Box::new(ScratchRegisters::new(4))).unwrap();
+        io.outb(0x100, 0x5A).unwrap();
+        io
+    }
+
+    #[test]
+    fn fast_forward_equals_replaying_the_stretch() {
+        let poll = |io: &mut IoSpace| {
+            io.inb(0x1F7).unwrap();
+            io.inb(0x101).unwrap();
+            io.inb(0x3F0).unwrap(); // unmapped: floats
+        };
+        let mut skipped = polled_machine();
+        let mut replayed = polled_machine();
+        poll(&mut skipped);
+        poll(&mut replayed);
+        let from = skipped.effect_mark().unwrap();
+        poll(&mut skipped);
+        let to = skipped.effect_mark().unwrap();
+        assert_eq!(from.epoch, to.epoch, "status and register reads are pure");
+        assert_eq!(to.horizon, u64::MAX, "an idle IDE and a scratch file never change");
+        skipped.fast_forward(40, &from, &to);
+        for _ in 0..41 {
+            poll(&mut replayed);
+        }
+        assert_eq!(skipped.snapshot(), replayed.snapshot());
+        assert_eq!(skipped.read_count(), replayed.read_count());
+        // And both machines go on identically.
+        poll(&mut skipped);
+        poll(&mut replayed);
+        assert_eq!(skipped.snapshot(), replayed.snapshot());
+    }
+
+    #[test]
+    fn effects_move_the_epoch_and_gating_hides_the_mark() {
+        let mut io = polled_machine();
+        let epoch = |io: &IoSpace| io.effect_mark().unwrap().epoch;
+        let e0 = epoch(&io);
+        io.inb(0x1F7).unwrap();
+        assert_eq!(epoch(&io), e0, "status read is pure");
+        io.outb(0x3F0, 1).unwrap();
+        let e1 = epoch(&io);
+        assert_ne!(e1, e0, "every write is an effect, even unmapped");
+        io.note_effect();
+        assert_ne!(epoch(&io), e1, "noted effects count");
+        // A command makes the drive busy: its timer leaves no quiet tick.
+        io.outb(0x1F7, 0xEC).unwrap();
+        assert_eq!(io.effect_mark().unwrap().horizon, 0);
+        while io.inb(0x1F7).unwrap() & 0x80 != 0 {}
+        // Streaming IDENTIFY data out of the data port is an effect.
+        let e2 = epoch(&io);
+        io.inw(0x1F0).unwrap();
+        assert_ne!(epoch(&io), e2, "a DataIn data read is not pure");
+
+        io.enable_trace();
+        assert!(io.effect_mark().is_none(), "tracing keeps every access");
+        io.take_trace();
+        assert!(io.effect_mark().is_some());
+        io.install_faults(crate::FaultPlan::none(1));
+        assert!(io.effect_mark().is_none(), "faults are sampled per access");
     }
 
     #[test]

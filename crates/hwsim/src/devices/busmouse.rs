@@ -170,6 +170,16 @@ impl IoDevice for Busmouse {
         }
     }
 
+    /// Every byte read counts into `reads`; only refused (wrong-width)
+    /// reads leave the state alone.
+    fn read_is_pure(&self, _offset: u16, size: AccessSize) -> bool {
+        size != AccessSize::Byte
+    }
+
+    fn quiet_ticks(&self) -> u64 {
+        u64::MAX
+    }
+
     fn save(&self, w: &mut StateWriter<'_>) {
         w.u8(self.signature);
         w.u8(self.index);

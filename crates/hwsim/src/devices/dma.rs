@@ -175,6 +175,17 @@ impl IoDevice for Dma8237 {
         Ok(())
     }
 
+    /// Address/count reads toggle the byte flip-flop and a status read
+    /// clears the terminal-count bits; refused (wrong-width) reads and the
+    /// other registers change nothing.
+    fn read_is_pure(&self, offset: u16, size: AccessSize) -> bool {
+        size != AccessSize::Byte || offset > 8
+    }
+
+    fn quiet_ticks(&self) -> u64 {
+        u64::MAX
+    }
+
     fn save(&self, w: &mut StateWriter<'_>) {
         for ch in 0..4 {
             w.u16(self.address[ch]);

@@ -714,6 +714,24 @@ impl IoDevice for IdeController {
         true
     }
 
+    /// Task-file and status reads never change the controller; a data
+    /// read does only while it streams a sector out (`DataIn`) — outside
+    /// it the bus floats and nothing moves.
+    fn read_is_pure(&self, offset: u16, _size: AccessSize) -> bool {
+        offset != 0 || self.phase != Phase::DataIn
+    }
+
+    /// The busy timer is the only self-initiated change, and it counts
+    /// down in the saved state on every tick: no quiet tick while `Busy`,
+    /// none ever needed otherwise.
+    fn quiet_ticks(&self) -> u64 {
+        if matches!(self.phase, Phase::Busy { .. }) {
+            0
+        } else {
+            u64::MAX
+        }
+    }
+
     fn tick(&mut self, ticks: u64) {
         if let Phase::Busy { .. } = self.phase {
             if self.busy_left <= ticks {

@@ -371,6 +371,16 @@ impl IoDevice for Ne2000 {
         true
     }
 
+    /// Register reads are plain loads; the data port streams remote DMA
+    /// and the reset port resets the chip.
+    fn read_is_pure(&self, offset: u16, _size: AccessSize) -> bool {
+        offset != 0x10 && offset != 0x1F
+    }
+
+    fn quiet_ticks(&self) -> u64 {
+        u64::MAX
+    }
+
     fn save(&self, w: &mut StateWriter<'_>) {
         w.u8(self.cr);
         w.u8(self.isr);

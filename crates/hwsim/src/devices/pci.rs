@@ -153,6 +153,15 @@ impl IoDevice for PciConfigSpace {
         }
     }
 
+    /// Configuration reads have no side effects.
+    fn read_is_pure(&self, _offset: u16, _size: AccessSize) -> bool {
+        true
+    }
+
+    fn quiet_ticks(&self) -> u64 {
+        u64::MAX
+    }
+
     fn save(&self, w: &mut StateWriter<'_>) {
         w.u32(self.address);
         // The function set is construction-time topology; only each
@@ -283,6 +292,25 @@ impl IoDevice for BusMasterIde {
                 Ok(())
             }
             _ => Ok(()),
+        }
+    }
+
+    /// Register reads have no side effects.
+    fn read_is_pure(&self, _offset: u16, _size: AccessSize) -> bool {
+        true
+    }
+
+    /// A running transfer counts `active_left` down on every tick; with
+    /// no transfer running the tick timer is idle.
+    fn quiet_ticks(&self) -> u64 {
+        let running = self
+            .channels
+            .iter()
+            .any(|c| c.status & 0x01 != 0 && c.active_left > 0);
+        if running {
+            0
+        } else {
+            u64::MAX
         }
     }
 

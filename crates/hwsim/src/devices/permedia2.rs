@@ -195,6 +195,18 @@ impl IoDevice for Permedia2 {
         Ok(())
     }
 
+    /// Every register read is a plain load except `OutFIFO` (offset 4),
+    /// which pops the output FIFO.
+    fn read_is_pure(&self, offset: u16, size: AccessSize) -> bool {
+        offset != 4 || size != AccessSize::Dword
+    }
+
+    /// Every tick moves either the reset countdown or the drain clock,
+    /// both in the saved state, so the device is never quiet.
+    fn quiet_ticks(&self) -> u64 {
+        0
+    }
+
     fn tick(&mut self, ticks: u64) {
         for _ in 0..ticks {
             if self.resetting > 0 {

@@ -181,6 +181,15 @@ impl IoDevice for Pic8259 {
         }
     }
 
+    /// IRR/ISR/IMR reads have no side effects.
+    fn read_is_pure(&self, _offset: u16, _size: AccessSize) -> bool {
+        true
+    }
+
+    fn quiet_ticks(&self) -> u64 {
+        u64::MAX
+    }
+
     fn save(&self, w: &mut StateWriter<'_>) {
         w.u8(self.imr);
         w.u8(self.irr);

@@ -42,8 +42,8 @@ pub mod reference;
 pub mod snap;
 
 pub use bus::{
-    Access, AccessKind, AccessSize, BusFault, DeviceFault, DeviceId, IoBus, IoDevice, IoSpace,
-    MapError, UnmappedPolicy,
+    Access, AccessKind, AccessSize, BusFault, DeviceFault, DeviceId, IoBus, IoDevice, IoMark,
+    IoSpace, MapError, UnmappedPolicy,
 };
 pub use fault::{FaultKind, FaultPlan, FaultRule, DEFAULT_FAULT_SEED};
 pub use snap::{RestoreError, Snapshot, StateReader, StateWriter};

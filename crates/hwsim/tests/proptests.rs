@@ -1,9 +1,9 @@
 //! Property tests for the bus fabric and the IDE model.
 
 use devil_hwsim::bus::ScratchRegisters;
-use devil_hwsim::devices::{IdeController, IdeDisk, SECTOR_SIZE};
+use devil_hwsim::devices::{IdeController, IdeDisk, IdeGeometry, SECTOR_SIZE};
 use devil_hwsim::reference::{LinearIoSpace, NullDevice};
-use devil_hwsim::{FaultPlan, IoBus, IoSpace, UnmappedPolicy};
+use devil_hwsim::{AccessSize, FaultPlan, IoBus, IoSpace, UnmappedPolicy};
 use proptest::prelude::*;
 
 const IDE: u16 = 0x1F0;
@@ -256,6 +256,78 @@ proptest! {
         io.restore(&snap).unwrap();
         prop_assert_eq!(io.snapshot(), first);
     }
+
+    /// The loop fast-forward hooks keep their contract on every device
+    /// model, in every state an arbitrary access program reaches: a read
+    /// the device declares pure leaves its `save()` bytes unchanged, and
+    /// so does `tick(quiet_ticks() - 1)`. Ticks between accesses let
+    /// busy timers, transfers and drain clocks run out mid-program, and
+    /// command-port and FIFO writes are biased toward the bytes that
+    /// start them.
+    #[test]
+    fn fast_forward_hooks_keep_their_contract(
+        ops in prop::collection::vec(
+            ((any::<u16>(), any::<u8>(), any::<u8>(), any::<bool>()), 0u64..40),
+            1..160,
+        ),
+    ) {
+        let mut devices: Vec<(u16, u16, Box<dyn devil_hwsim::IoDevice>)> = Vec::new();
+        map_snapshot_devices(|base, len, dev| {
+            // A one-track disk: the IDE state is saved three times per op.
+            let dev: Box<dyn devil_hwsim::IoDevice> = if base == IDE {
+                let tiny = IdeGeometry { cylinders: 1, heads: 1, sectors: 8 };
+                Box::new(IdeController::new(IdeDisk::new(tiny)))
+            } else {
+                dev
+            };
+            devices.push((base, len, dev));
+        });
+        // Each device runs the whole program on its own ports.
+        for (base, len, dev) in &mut devices {
+            // The bus-master descriptor pointer too, so a started transfer runs.
+            let ports: Vec<u16> = SNAPSHOT_PORTS
+                .iter()
+                .copied()
+                .chain([0xF004])
+                .filter(|p| (*base..*base + *len).contains(p))
+                .collect();
+            for &((port_sel, value, size_sel, is_read), ticks) in &ops {
+                let port = ports[port_sel as usize % ports.len()];
+                let offset = port - *base;
+                let size = [AccessSize::Byte, AccessSize::Word, AccessSize::Dword][size_sel as usize % 3];
+                dev.tick(ticks);
+                if is_read {
+                    let pure = dev.read_is_pure(offset, size);
+                    let before = saved(dev.as_ref());
+                    let _ = dev.read(offset, size);
+                    if pure {
+                        prop_assert_eq!(saved(dev.as_ref()), before, "{} read at {:#x} is not pure", dev.name(), port);
+                    }
+                } else {
+                    let value = match (port, value) {
+                        (0x1F7, v) if v < 0x80 => [0xEC, 0x20, 0x30, 0xE7][v as usize % 4],
+                        (0xC003, v) if v < 0x80 => u32::from(v % 4),
+                        (0xF000, v) => u32::from(v & 0x09),
+                        (_, v) => u32::from(v).wrapping_mul(0x0101_0101),
+                    };
+                    let _ = dev.write(offset, size, value);
+                }
+                let quiet = dev.quiet_ticks();
+                if quiet > 0 {
+                    let before = saved(dev.as_ref());
+                    dev.tick(quiet - 1);
+                    prop_assert_eq!(saved(dev.as_ref()), before, "{} changed within its {} quiet ticks", dev.name(), quiet);
+                }
+            }
+        }
+    }
+}
+
+/// A device's `save()` bytes.
+fn saved(dev: &dyn devil_hwsim::IoDevice) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    dev.save(&mut devil_hwsim::StateWriter::new(&mut bytes));
+    bytes
 }
 
 // ------------------------------------------------- snapshot test harness

@@ -48,7 +48,11 @@ pub use crate::scenario::{classify_run_error, Detail, Outcome};
 /// engine's [`ScenarioReport`].
 pub type BootReport = ScenarioReport;
 
-/// Default interpreter fuel for one boot (a clean boot uses well under 10%).
+/// Default interpreter fuel for one boot. A clean boot of the C driver
+/// uses under 1% of it and one of the CDevil driver about 17%, but
+/// terminating *mutants* of the CDevil driver use up to 74% (p99 54%;
+/// the `fuel_tail` headroom figures in `BENCH_dispatch.json`): the
+/// budget is the infinite-loop verdict's threshold, not a speed knob.
 pub const DEFAULT_FUEL: u64 = 1_500_000;
 
 /// Base port of the simulated IDE channel (command block at

@@ -1,8 +1,8 @@
 //! The kernel's hardware environment for interpreted drivers.
 
 use devil_hwsim::bus::AccessSize;
-use devil_hwsim::{IoBus, IoSpace};
-use devil_minic::interp::Host;
+use devil_hwsim::{IoBus, IoMark, IoSpace};
+use devil_minic::interp::{EffectMark, Host, NoMarks};
 
 /// Elements staged per [`IoSpace::read_block`]/`write_block` call when
 /// bridging the engines' `i64` buffers to the bus's `u32` ones — sized so
@@ -17,12 +17,28 @@ fn access_size(size: u8) -> AccessSize {
     }
 }
 
+/// A [`Host`] over a simulated machine: what a scenario run needs of the
+/// engine's host besides the [`Host`] calls. [`MachineHost`] is the one
+/// campaigns use; a wrapper around it (say, one that withholds effect
+/// marks, [`NoMarks`], to run the VM without fast-forward) implements
+/// this by delegation.
+pub trait MachineIo: Host {
+    /// The machine's I/O space.
+    fn io(&mut self) -> &mut IoSpace;
+    /// Move the console output collected so far out.
+    fn take_console(&mut self) -> Vec<String>;
+}
+
 /// Adapts an [`IoSpace`] to the interpreter's [`Host`] interface.
 ///
 /// Faults from device models (e.g. a word access to a byte register) do not
 /// stop the machine — exactly like ISA hardware, the read floats and the
 /// write vanishes; the *consequences* surface later as misbehaviour, which
 /// is the failure mode the experiments measure.
+///
+/// Effect marks are the space's own ([`IoSpace::effect_mark`]), with each
+/// console line counted as an effect, so the bytecode VM fast-forwards a
+/// polling loop exactly when the space allows it.
 #[derive(Debug)]
 pub struct MachineHost<'m> {
     io: &'m mut IoSpace,
@@ -39,6 +55,26 @@ impl<'m> MachineHost<'m> {
     /// The underlying I/O space.
     pub fn io(&mut self) -> &mut IoSpace {
         self.io
+    }
+}
+
+impl MachineIo for MachineHost<'_> {
+    fn io(&mut self) -> &mut IoSpace {
+        self.io
+    }
+
+    fn take_console(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.console)
+    }
+}
+
+impl<H: MachineIo> MachineIo for NoMarks<H> {
+    fn io(&mut self) -> &mut IoSpace {
+        self.0.io()
+    }
+
+    fn take_console(&mut self) -> Vec<String> {
+        self.0.take_console()
     }
 }
 
@@ -90,6 +126,28 @@ impl Host for MachineHost<'_> {
 
     fn console(&mut self, message: &str) {
         self.console.push(message.to_string());
+        self.io.note_effect();
+    }
+
+    fn effect_mark(&self) -> Option<EffectMark> {
+        self.io.effect_mark().map(|m| EffectMark {
+            epoch: m.epoch,
+            clock: m.clock,
+            reads: m.reads,
+            writes: m.writes,
+            quiet: m.horizon,
+        })
+    }
+
+    fn fast_forward(&mut self, periods: u64, from: &EffectMark, to: &EffectMark) {
+        let io_mark = |m: &EffectMark| IoMark {
+            epoch: m.epoch,
+            clock: m.clock,
+            reads: m.reads,
+            writes: m.writes,
+            horizon: m.quiet,
+        };
+        self.io.fast_forward(periods, &io_mark(from), &io_mark(to));
     }
 }
 

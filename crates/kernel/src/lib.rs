@@ -51,5 +51,5 @@ pub mod scenarios;
 
 pub use boot::{boot_ide, BootReport, CampaignMachine, Detail, Outcome};
 pub use fs::{fsck, mkfs, FsckReport, SECTORS_PER_FILE};
-pub use kapi::MachineHost;
+pub use kapi::{MachineHost, MachineIo};
 pub use scenario::{FaultScenario, Scenario, ScenarioEngine, ScenarioMachine, ScenarioReport};

@@ -67,7 +67,7 @@
 //! `build`, injections per-run in `drive`, never remap devices) is
 //! documented in `devil_hwsim::snap`.
 
-use crate::kapi::MachineHost;
+use crate::kapi::{MachineHost, MachineIo};
 use devil_hwsim::snap::Snapshot;
 use devil_hwsim::IoSpace;
 use devil_minic::interp::{Interpreter, RunError};
@@ -201,6 +201,12 @@ pub struct ScenarioReport {
     /// Packed source lines executed (see `devil_minic::token::pack_line`),
     /// as a per-file bitmap — moved out of the engine, never cloned.
     pub coverage: Coverage,
+    /// Fuel left when the drive ended (0 after fuel exhaustion).
+    pub fuel_left: u64,
+    /// Fuel points the bytecode VM skipped by fast-forwarding provably
+    /// periodic loops (already counted as burnt; always 0 on the
+    /// tree-walking interpreter) — see the `devil_minic::vm` docs.
+    pub fuel_skipped: u64,
 }
 
 /// Map an engine error to an outcome.
@@ -252,7 +258,7 @@ pub trait ScenarioEngine {
     fn io(&mut self) -> &mut IoSpace;
 }
 
-impl ScenarioEngine for Vm<'_, MachineHost<'_>> {
+impl<H: MachineIo> ScenarioEngine for Vm<'_, H> {
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, RunError> {
         Vm::call(self, name, args)
     }
@@ -270,7 +276,7 @@ impl ScenarioEngine for Vm<'_, MachineHost<'_>> {
     }
 }
 
-impl ScenarioEngine for Interpreter<'_, MachineHost<'_>> {
+impl<H: MachineIo> ScenarioEngine for Interpreter<'_, H> {
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, RunError> {
         Interpreter::call(self, name, args)
     }
@@ -513,15 +519,12 @@ fn finish<S: Scenario + ?Sized>(
     scenario: &S,
     io: &mut IoSpace,
     mut drive: Drive,
-    console: Vec<String>,
-    coverage: devil_minic::Coverage,
-) -> ScenarioReport {
+) -> (Outcome, Detail) {
     // Deliver pending lazy ticks first so timer-driven device state is
     // current when inspected outside an access sequence.
     io.sync();
     scenario.inspect(io, &mut drive.damage);
-    let (outcome, detail) = classify(scenario, drive);
-    ScenarioReport { outcome, console, detail, coverage }
+    classify(scenario, drive)
 }
 
 /// Run one compiled (bytecode) driver under a scenario — the campaign hot
@@ -546,14 +549,28 @@ pub fn run_compiled_bounded<S: Scenario + ?Sized>(
     fuel: u64,
     deadline: Option<Deadline>,
 ) -> ScenarioReport {
-    let mut host = MachineHost::new(io);
-    let mut vm = Vm::new(compiled, &mut host, fuel).with_deadline(deadline);
+    run_compiled_on(scenario, compiled, &mut MachineHost::new(io), fuel, deadline)
+}
+
+/// [`run_compiled_bounded`] over any [`MachineIo`] host — the seam for a
+/// host that wraps [`MachineHost`], such as
+/// [`NoMarks`](devil_minic::interp::NoMarks), under which the VM runs
+/// every loop iteration (the fast-forward's oracle).
+pub fn run_compiled_on<S: Scenario + ?Sized, H: MachineIo>(
+    scenario: &S,
+    compiled: &CompiledProgram,
+    host: &mut H,
+    fuel: u64,
+    deadline: Option<Deadline>,
+) -> ScenarioReport {
+    let mut vm = Vm::new(compiled, host, fuel).with_deadline(deadline);
     let drive = scenario.drive(&mut vm);
     let coverage = vm.take_coverage();
+    let (fuel_left, fuel_skipped) = (vm.fuel_left(), vm.fuel_skipped());
     drop(vm);
-    let console = std::mem::take(&mut host.console);
-    drop(host);
-    finish(scenario, io, drive, console, coverage)
+    let console = host.take_console();
+    let (outcome, detail) = finish(scenario, host.io(), drive);
+    ScenarioReport { outcome, console, detail, coverage, fuel_left, fuel_skipped }
 }
 
 /// Run one driver under a scenario through the tree-walking interpreter —
@@ -581,10 +598,12 @@ pub fn run_interp_bounded<S: Scenario + ?Sized>(
     let mut interp = Interpreter::new(program, &mut host, fuel).with_deadline(deadline);
     let drive = scenario.drive(&mut interp);
     let coverage = interp.take_coverage();
+    let fuel_left = interp.fuel_left();
     drop(interp);
-    let console = std::mem::take(&mut host.console);
+    let console = host.take_console();
     drop(host);
-    finish(scenario, io, drive, console, coverage)
+    let (outcome, detail) = finish(scenario, io, drive);
+    ScenarioReport { outcome, console, detail, coverage, fuel_left, fuel_skipped: 0 }
 }
 
 /// A marker that makes the *harness itself* panic when it appears on the

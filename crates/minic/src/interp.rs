@@ -55,10 +55,53 @@ pub trait Host {
             self.io_write(port, size, *v);
         }
     }
+    /// The host's side of the bytecode VM's loop fast-forward (see the
+    /// `vm` module docs): a mark of its mutable state, or `None` when it
+    /// cannot be fast-forwarded — the default, so a host opts in by
+    /// overriding this together with [`Host::fast_forward`]. The
+    /// tree-walking interpreter never asks.
+    ///
+    /// The mark's contract: two marks with the same `epoch`, taken at
+    /// two points of one run, prove that nothing the driver can observe
+    /// changed between them except the fields the mark counts — every
+    /// write, every read with a side effect and every console line must
+    /// bump the epoch — and that the host stays unchanged for `quiet`
+    /// more clock ticks on its own.
+    fn effect_mark(&self) -> Option<EffectMark> {
+        None
+    }
+    /// Advance the host by `periods` repetitions of the stretch between
+    /// the marks `from` and `to` (the latter taken just now, with equal
+    /// epochs): clock, read and write counts, and whatever bookkeeping
+    /// those stretches would have moved — exactly the state `periods`
+    /// replays of the stretch would leave. Only called on hosts whose
+    /// [`Host::effect_mark`] returned marks.
+    fn fast_forward(&mut self, periods: u64, from: &EffectMark, to: &EffectMark) {
+        let _ = (periods, from, to);
+        unreachable!("a host that reports no effect mark is never fast-forwarded")
+    }
+}
+
+/// A host's state at one point of a run, as far as the bytecode VM's loop
+/// fast-forward needs it (see [`Host::effect_mark`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EffectMark {
+    /// Bumped by every effect the mark does not otherwise count.
+    pub epoch: u64,
+    /// The host's clock, in ticks.
+    pub clock: u64,
+    /// Port reads so far.
+    pub reads: u64,
+    /// Port writes so far.
+    pub writes: u64,
+    /// Clock ticks from now during which the host cannot change on its
+    /// own (`u64::MAX`: never; `0`: it may change at the next tick).
+    pub quiet: u64,
 }
 
 /// A host with no hardware: reads float to all-ones, writes vanish,
-/// console output is collected.
+/// console output is collected. It reports no effect mark, so the VM
+/// never fast-forwards on it.
 #[derive(Debug, Default)]
 pub struct NullHost {
     /// Collected `printk` output.
@@ -78,6 +121,33 @@ impl Host for NullHost {
 
     fn console(&mut self, message: &str) {
         self.log.push(message.to_string());
+    }
+}
+
+/// Any host with its effect marks withheld: the bytecode VM over it runs
+/// every loop iteration instead of fast-forwarding — the fast-forward's
+/// oracle, as `to_bytecode_unfused` is fusion's.
+#[derive(Debug, Default)]
+pub struct NoMarks<H>(pub H);
+
+impl<H: Host> Host for NoMarks<H> {
+    fn io_read(&mut self, port: u16, size: u8) -> i64 {
+        self.0.io_read(port, size)
+    }
+    fn io_write(&mut self, port: u16, size: u8, value: i64) {
+        self.0.io_write(port, size, value)
+    }
+    fn console(&mut self, message: &str) {
+        self.0.console(message)
+    }
+    fn delay(&mut self, usec: u64) {
+        self.0.delay(usec)
+    }
+    fn io_read_block(&mut self, port: u16, size: u8, out: &mut [i64]) {
+        self.0.io_read_block(port, size, out)
+    }
+    fn io_write_block(&mut self, port: u16, size: u8, values: &[i64]) {
+        self.0.io_write_block(port, size, values)
     }
 }
 

@@ -28,6 +28,34 @@
 //!   inline up to [`MAX_FIELD_DEPTH`] and spill to the heap beyond it
 //!   (nominal struct nesting in driver code is depth ≤ 2).
 //!
+//! # Fast-forward invariant
+//!
+//! A mutant that polls a port forever burns its whole fuel budget before
+//! it is classified. The VM reaches that verdict in closed form instead,
+//! without changing any observable: at every loop back-edge (a jump to a
+//! lower pc) it runs Brent's cycle detection over its own state. A stretch
+//! between two visits of one back-edge is a *period* only when all of
+//! these are equal at both ends:
+//!
+//! * the function and the pc;
+//! * frames, slots, the operand and lvalue stacks, and the scope stacks;
+//! * the heap: no store, allocation or release happened in between (a
+//!   mutation counter, so "equal" costs O(1) and is never a false match);
+//! * the host's [`EffectMark`] epoch — no port write, no read with a side
+//!   effect, no console line.
+//!
+//! Execution from equal states against a host that did not change is the
+//! same, so every later period repeats it. The VM then skips `n` whole
+//! periods at once: fuel drops by `n ×` the period's burn and the host
+//! advances its clock and counters by `n ×` their period deltas
+//! ([`Host::fast_forward`]), where `n` leaves less than one period of fuel
+//! and never lets the host's clock cross its quiet horizon. The last,
+//! partial period runs normally, so `OutOfFuel` fires at the very op it
+//! would have fired at. Coverage needs nothing: the skipped periods cover
+//! the lines the first one already set. Hosts that report no mark
+//! ([`NullHost`](crate::interp::NullHost), the default) never skip; the
+//! tree-walking interpreter has no probe at all and stays the oracle.
+//!
 //! The `vm_differential` integration test and the minic proptests pin the
 //! oracle relationship over the full driver corpus and mutant sets.
 
@@ -37,7 +65,9 @@ use crate::bytecode::{
 };
 use crate::coverage::Coverage;
 use crate::deadline::{Deadline, DEADLINE_CHECK_INTERVAL};
-use crate::interp::{FaultKind, Host, RunError, ABSORB_OBJ, MAX_DEPTH, OOB_SLACK, WILD_OBJ};
+use crate::interp::{
+    EffectMark, FaultKind, Host, RunError, ABSORB_OBJ, MAX_DEPTH, OOB_SLACK, WILD_OBJ,
+};
 use crate::value::{wrap_int, ObjId, Place, Value};
 use crate::ast::BinOp;
 use std::rc::Rc;
@@ -95,6 +125,12 @@ impl Lval {
     }
 }
 
+impl PartialEq for Lval {
+    fn eq(&self, other: &Lval) -> bool {
+        self.place == other.place && self.fields() == other.fields()
+    }
+}
+
 /// One heap object. `live == false` is the tree-walker's `None` slot
 /// (use-after-scope trap); the buffer is kept for allocation-free reuse.
 #[derive(Debug, Default)]
@@ -104,6 +140,7 @@ struct Obj {
 }
 
 /// A suspended caller frame.
+#[derive(Clone, Copy)]
 struct Saved<'a> {
     ops: &'a [Op],
     pc: usize,
@@ -146,6 +183,82 @@ pub struct Vm<'a, H: Host> {
     /// drops) thousands of small struct rvalues per boot, and reusing
     /// their `Vec`s halves the dispatch loop's allocator traffic.
     struct_pool: Vec<Vec<Value>>,
+    /// Bumped by every store, allocation and release: equal values at two
+    /// points prove the heap (objects and free list) did not change.
+    heap_epoch: u64,
+    /// The back-edge cycle detector (see the module docs).
+    probe: Probe<'a>,
+    /// Fuel points skipped by fast-forwarding so far.
+    fuel_skipped: u64,
+}
+
+/// Back-edges a call takes before the cycle detector first saves its
+/// state. Loops that end sooner — every busy-wait of a booting driver —
+/// never pay for a save or a compare; a loop that runs out the fuel
+/// budget runs thousands of times longer than this.
+const PROBE_WARMUP: u64 = 64;
+
+/// Brent's cycle detector over loop back-edges: the state saved at
+/// steps spaced by doubling gaps, compared at each step after a save.
+/// The buffers are reused across saves, so a warm probe does not
+/// allocate.
+struct Probe<'a> {
+    /// Whether the host reports effect marks (checked once per call).
+    armed: bool,
+    /// Back-edges until the next save; the gap doubles after each one.
+    countdown: u64,
+    power: u64,
+    /// Whether the fields below hold a state to compare against.
+    saved: bool,
+    mark: EffectMark,
+    ops: &'a [Op],
+    target: usize,
+    fuel: u64,
+    heap_epoch: u64,
+    depth: u32,
+    slot_base: usize,
+    scope_floor: usize,
+    stack: Vec<Value>,
+    lvs: Vec<Lval>,
+    slots: Vec<usize>,
+    scope_objs: Vec<usize>,
+    scope_bases: Vec<usize>,
+    frames: Vec<Saved<'a>>,
+}
+
+impl Probe<'_> {
+    fn new() -> Self {
+        Probe {
+            armed: false,
+            countdown: PROBE_WARMUP,
+            power: PROBE_WARMUP,
+            saved: false,
+            mark: EffectMark { epoch: 0, clock: 0, reads: 0, writes: 0, quiet: 0 },
+            ops: &[],
+            target: 0,
+            fuel: 0,
+            heap_epoch: 0,
+            depth: 0,
+            slot_base: 0,
+            scope_floor: 0,
+            stack: Vec::new(),
+            lvs: Vec::new(),
+            slots: Vec::new(),
+            scope_objs: Vec::new(),
+            scope_bases: Vec::new(),
+            frames: Vec::new(),
+        }
+    }
+
+    /// Forget the saved state and restart the step schedule.
+    fn reset(&mut self, armed: bool) {
+        self.armed = armed;
+        self.countdown = PROBE_WARMUP;
+        self.power = PROBE_WARMUP;
+        self.saved = false;
+        self.stack.clear();
+        self.lvs.clear();
+    }
 }
 
 /// Upper bound on pooled struct buffers (they are tiny — a few `Value`s
@@ -180,12 +293,22 @@ impl<'a, H: Host> Vm<'a, H> {
             io_block: Vec::new(),
             last_cov: u32::MAX,
             struct_pool: Vec::new(),
+            heap_epoch: 0,
+            probe: Probe::new(),
+            fuel_skipped: 0,
         }
     }
 
     /// Remaining fuel.
     pub fn fuel_left(&self) -> u64 {
         self.fuel
+    }
+
+    /// Fuel points this VM skipped by fast-forwarding provably periodic
+    /// loops (see the module docs) — already subtracted from
+    /// [`Vm::fuel_left`], which matches a run that executed them.
+    pub fn fuel_skipped(&self) -> u64 {
+        self.fuel_skipped
     }
 
     /// Bound the run by a wall-clock deadline (in addition to fuel) —
@@ -233,7 +356,10 @@ impl<'a, H: Host> Vm<'a, H> {
         let Some(fidx) = self.program.function(name) else {
             return Err(RunError::NoSuchFunction(name.to_string()));
         };
+        let armed = self.host.effect_mark().is_some();
+        self.probe.reset(armed);
         let result = self.run_call(fidx, args);
+        self.probe.reset(false);
         if result.is_err() {
             self.unwind_all();
         } else {
@@ -281,6 +407,7 @@ impl<'a, H: Host> Vm<'a, H> {
         match o.data.get_mut(idx) {
             Some(slot) => {
                 *slot = value;
+                self.heap_epoch += 1;
                 true
             }
             None => false,
@@ -396,7 +523,13 @@ impl<'a, H: Host> Vm<'a, H> {
             pc += 1;
             match self.dispatch(op)? {
                 Flow::Next => {}
-                Flow::Jump(t) => pc = t as usize,
+                Flow::Jump(t) => {
+                    let t = t as usize;
+                    if t < pc && self.probe.armed {
+                        self.back_edge(ops, t)?;
+                    }
+                    pc = t;
+                }
                 Flow::Call { fidx } => {
                     let callee = &self.program.funcs[fidx as usize];
                     let argc = callee_argc(op);
@@ -451,6 +584,120 @@ impl<'a, H: Host> Vm<'a, H> {
         }
     }
 
+    /// One step of the cycle detector, at a jump from `ops` back to
+    /// `target`. The inline part is what most back-edges cost: a
+    /// countdown, and a compare only when the saved state can still
+    /// match (same loop head, untouched heap).
+    #[inline]
+    fn back_edge(&mut self, ops: &'a [Op], target: usize) -> VmResult<()> {
+        let p = &mut self.probe;
+        p.countdown -= 1;
+        if p.countdown == 0
+            || (p.saved && p.target == target && p.heap_epoch == self.heap_epoch)
+        {
+            self.probe_step(ops, target)?;
+        }
+        Ok(())
+    }
+
+    /// Compare against the saved state (fast-forwarding on a match), then
+    /// save this state when the countdown ran out.
+    #[inline(never)]
+    fn probe_step(&mut self, ops: &'a [Op], target: usize) -> VmResult<()> {
+        if self.probe.saved
+            && self.probe.target == target
+            && self.probe.heap_epoch == self.heap_epoch
+            && self.matches_saved(ops)
+        {
+            // Whatever the host says, this saved state is used up: a
+            // refusal would repeat on every later visit of this loop head.
+            self.probe.saved = false;
+            if let Some(to) = self.host.effect_mark() {
+                self.fast_forward(&to)?;
+            }
+        }
+        if self.probe.countdown == 0 {
+            self.save_probe(ops, target);
+        }
+        Ok(())
+    }
+
+    /// Whether the VM is in the saved state (pc and heap epoch checked by
+    /// the caller).
+    fn matches_saved(&self, ops: &'a [Op]) -> bool {
+        let p = &self.probe;
+        std::ptr::eq(p.ops, ops)
+            && p.depth == self.depth
+            && p.slot_base == self.slot_base
+            && p.scope_floor == self.scope_floor
+            && p.slots == self.slots
+            && p.scope_objs == self.scope_objs
+            && p.scope_bases == self.scope_bases
+            && p.stack == self.stack
+            && p.lvs == self.lvs
+            && p.frames.len() == self.frames.len()
+            && p.frames.iter().zip(&self.frames).all(|(a, b)| {
+                std::ptr::eq(a.ops, b.ops)
+                    && a.pc == b.pc
+                    && a.slot_base == b.slot_base
+                    && a.scope_floor == b.scope_floor
+            })
+    }
+
+    fn save_probe(&mut self, ops: &'a [Op], target: usize) {
+        let p = &mut self.probe;
+        p.power = p.power.saturating_mul(2);
+        p.countdown = p.power;
+        let Some(mark) = self.host.effect_mark() else {
+            p.saved = false;
+            return;
+        };
+        p.saved = true;
+        p.mark = mark;
+        p.ops = ops;
+        p.target = target;
+        p.fuel = self.fuel;
+        p.heap_epoch = self.heap_epoch;
+        p.depth = self.depth;
+        p.slot_base = self.slot_base;
+        p.scope_floor = self.scope_floor;
+        p.stack.clone_from(&self.stack);
+        p.lvs.clone_from(&self.lvs);
+        p.slots.clone_from(&self.slots);
+        p.scope_objs.clone_from(&self.scope_objs);
+        p.scope_bases.clone_from(&self.scope_bases);
+        p.frames.clone_from(&self.frames);
+    }
+
+    /// The VM is back in the saved state and the host reports mark `to`:
+    /// when the host did not change either, skip every whole period the
+    /// fuel and the host's quiet horizon allow.
+    fn fast_forward(&mut self, to: &EffectMark) -> VmResult<()> {
+        let from = self.probe.mark;
+        let burn = self.probe.fuel - self.fuel;
+        if to.epoch != from.epoch || burn == 0 {
+            return Ok(());
+        }
+        // The probe period and every skipped one must end before the
+        // host's horizon, measured from the start of the probe period.
+        let ticks = to.clock - from.clock;
+        let by_horizon = match (ticks, from.quiet) {
+            (0, _) | (_, u64::MAX) => u64::MAX,
+            (d, q) => (q.saturating_sub(1) / d).saturating_sub(1),
+        };
+        // Leave the last, partial period (less than `burn` fuel) to run
+        // for real, so exhaustion happens at the same op.
+        let periods = (self.fuel / burn).min(by_horizon);
+        if periods == 0 {
+            return Ok(());
+        }
+        self.deadline_dispatch_check()?;
+        self.fuel -= periods * burn;
+        self.fuel_skipped += periods * burn;
+        self.host.fast_forward(periods, &from, to);
+        Ok(())
+    }
+
     /// Release everything after an error, in the order the tree-walker's
     /// stack unwinding would: innermost scope first.
     fn unwind_all(&mut self) {
@@ -486,6 +733,7 @@ impl<'a, H: Host> Vm<'a, H> {
 
     fn kill(&mut self, id: usize) {
         if let Some(o) = self.objects.get_mut(id) {
+            self.heap_epoch += 1;
             o.live = false;
             // Drop values now; keep the buffer for reuse — and reclaim
             // uniquely-owned struct buffers into the pool while at it.
@@ -516,6 +764,7 @@ impl<'a, H: Host> Vm<'a, H> {
     }
 
     fn alloc(&mut self) -> usize {
+        self.heap_epoch += 1;
         if let Some(id) = self.free.pop() {
             self.objects[id].live = true;
             id
@@ -643,7 +892,10 @@ impl<'a, H: Host> Vm<'a, H> {
                     FaultKind::OutOfBounds
                 } else {
                     match Self::write_slot(o, lv, value) {
-                        Ok(()) => return Ok(()),
+                        Ok(()) => {
+                            self.heap_epoch += 1;
+                            return Ok(());
+                        }
                         Err(kind) => kind,
                     }
                 }
@@ -1679,6 +1931,7 @@ impl<'a, H: Host> Vm<'a, H> {
                     }
                     self.io_block = buf;
                     self.fuel -= count as u64;
+                    self.heap_epoch += 1;
                 } else {
                     for i in 0..count {
                         let w = self.host.io_read(port, size) & mask;

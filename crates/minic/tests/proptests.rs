@@ -1,8 +1,9 @@
 //! Property tests for minic: a differential check of expression semantics
 //! against Rust's own 32-bit integer arithmetic, a bytecode-VM-vs-
-//! tree-walker equivalence property, plus front-end totality.
+//! tree-walker equivalence property, the loop fast-forward's
+//! invisibility, plus front-end totality.
 
-use devil_minic::interp::{Interpreter, NullHost};
+use devil_minic::interp::{EffectMark, Host, Interpreter, NoMarks, NullHost};
 use devil_minic::value::{wrap_int, Value};
 use devil_minic::vm::Vm;
 use proptest::prelude::*;
@@ -324,4 +325,180 @@ proptest! {
         }
         prop_assert_eq!(prelude.served() + prelude.fallbacks(), 1);
     }
+}
+
+/// A scripted device for the fast-forward property: port `0x1F7` reads
+/// `before` until the clock reaches `flip`, then `after`; every other
+/// port floats. Each access is one clock tick, reads are pure, writes and
+/// console lines are effects.
+#[derive(Debug, Clone, PartialEq)]
+struct Scripted {
+    flip: u64,
+    before: i64,
+    after: i64,
+    clock: u64,
+    reads: u64,
+    writes: u64,
+    epoch: u64,
+    log: Vec<String>,
+}
+
+impl Scripted {
+    fn new(flip: u64) -> Scripted {
+        Scripted {
+            flip,
+            before: 0xD0,
+            after: 0x58,
+            clock: 0,
+            reads: 0,
+            writes: 0,
+            epoch: 0,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl Host for Scripted {
+    fn io_read(&mut self, port: u16, _size: u8) -> i64 {
+        self.clock += 1;
+        self.reads += 1;
+        match port {
+            0x1F7 if self.clock < self.flip => self.before,
+            0x1F7 => self.after,
+            _ => 0xFF,
+        }
+    }
+
+    fn io_write(&mut self, _port: u16, _size: u8, _value: i64) {
+        self.clock += 1;
+        self.writes += 1;
+        self.epoch += 1;
+    }
+
+    fn console(&mut self, message: &str) {
+        self.log.push(message.to_string());
+        self.epoch += 1;
+    }
+
+    fn effect_mark(&self) -> Option<EffectMark> {
+        Some(EffectMark {
+            epoch: self.epoch,
+            clock: self.clock,
+            reads: self.reads,
+            writes: self.writes,
+            quiet: if self.clock < self.flip { self.flip - self.clock } else { u64::MAX },
+        })
+    }
+
+    fn fast_forward(&mut self, periods: u64, from: &EffectMark, to: &EffectMark) {
+        self.clock += periods * (to.clock - from.clock);
+        self.reads += periods * (to.reads - from.reads);
+        self.writes += periods * (to.writes - from.writes);
+    }
+}
+
+/// Loop conditions polling the scripted port (`0xD0` busy, `0x58` ready).
+const POLL_CONDS: &[&str] = &[
+    "inb(0x1F7) & 0x80",
+    "!(inb(0x1F7) & 0x08)",
+    "(inb(0x1F7) & 0x80) && a",
+    "inb(0x1F7) != 0x50",
+    "1",
+];
+
+/// Loop bodies: pure polling, fuel-only work, and effects or state
+/// changes that must rule the skip out.
+const POLL_BODIES: &[&str] = &[
+    "",
+    "inb(0x1F7);",
+    "inb(0x1F1); inb(0x3F0);",
+    "if (a > 3) inb(0x1F2);",
+    "udelay(3);",
+    "n = n;",
+    "{ int t = a; }",
+    "n++;",
+    "outb(1, 0x80);",
+    "printk(\"spin %d\", a);",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The loop fast-forward is observationally invisible: over random
+    /// polling loops against a scripted device, with fuel swept across
+    /// the exhaustion boundary and the device's change point (the quiet
+    /// horizon) swept across the run, the VM that skips, the VM without
+    /// effect marks and the tree-walking oracle agree on the value, the
+    /// fuel left, the coverage and the device's end state — clock,
+    /// counters, effects and console included.
+    #[test]
+    fn fast_forward_is_invisible(
+        cond in 0usize..5,
+        body in 0usize..10,
+        a in 0i64..8,
+        fuel in 0u64..12_000,
+        flip in prop::sample::select(vec![0u64, 1, 2, 3, 7, 40, 300, 1_000, 2_500, u64::MAX]),
+    ) {
+        let src = format!(
+            "int f(int a) {{
+                int n = a;
+                while ({}) {{ {} }}
+                return n + inb(0x1F7);
+            }}",
+            POLL_CONDS[cond], POLL_BODIES[body]
+        );
+        let program = devil_minic::compile("poll.c", &src).unwrap();
+        let compiled = program.to_bytecode();
+        let args = [Value::Int(a)];
+
+        let mut oracle = Scripted::new(flip);
+        let mut interp = Interpreter::new(&program, &mut oracle, fuel);
+        let want = interp.call("f", &args);
+        let (want_fuel, want_cov) = (interp.fuel_left(), interp.coverage().clone());
+        drop(interp);
+
+        let mut host = Scripted::new(flip);
+        let mut vm = Vm::new(&compiled, &mut host, fuel);
+        let got = vm.call("f", &args);
+        prop_assert_eq!(&got, &want, "value diverged for {}", src);
+        prop_assert_eq!(vm.fuel_left(), want_fuel, "fuel diverged for {}", src);
+        prop_assert_eq!(vm.coverage(), &want_cov, "coverage diverged for {}", src);
+        drop(vm);
+        prop_assert_eq!(&host, &oracle, "device diverged for {}", src);
+
+        let mut plain = NoMarks(Scripted::new(flip));
+        let mut vm = Vm::new(&compiled, &mut plain, fuel);
+        let got = vm.call("f", &args);
+        prop_assert_eq!(vm.fuel_skipped(), 0);
+        prop_assert_eq!(&got, &want, "value diverged without marks for {}", src);
+        prop_assert_eq!(vm.fuel_left(), want_fuel, "fuel diverged without marks for {}", src);
+        prop_assert_eq!(vm.coverage(), &want_cov, "coverage diverged without marks for {}", src);
+        drop(vm);
+        prop_assert_eq!(&plain.0, &oracle, "device diverged without marks for {}", src);
+    }
+}
+
+/// The property above is not vacuous: a pure polling loop on a device
+/// that never becomes ready is fast-forwarded to within one period of
+/// exhaustion, and one that becomes ready is skipped up to its change
+/// point and then leaves the loop normally.
+#[test]
+fn fast_forward_fires_and_stops_at_the_horizon() {
+    let src = "int f(void) { while (inb(0x1F7) & 0x80) inb(0x1F1); return inb(0x1F7); }";
+    let compiled = devil_minic::compile("poll.c", src).unwrap().to_bytecode();
+    let run = |flip: u64, fuel: u64| {
+        let mut host = Scripted::new(flip);
+        let mut vm = Vm::new(&compiled, &mut host, fuel);
+        let got = vm.call("f", &[]);
+        let skipped = vm.fuel_skipped();
+        drop(vm);
+        (got, skipped, host.clock)
+    };
+    let (hung, skipped, _) = run(u64::MAX, 1_000_000);
+    assert!(matches!(hung, Err(devil_minic::interp::RunError::OutOfFuel)));
+    assert!(skipped > 990_000, "only {skipped} of 1M fuel skipped");
+    let (ready, skipped, clock) = run(100_000, 1_000_000);
+    assert_eq!(ready.unwrap().as_int(), Some(0x58));
+    assert!(skipped > 0, "the skip never fired before the horizon");
+    assert!(clock >= 100_000, "the loop left before the device changed");
 }

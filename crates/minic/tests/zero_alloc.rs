@@ -14,7 +14,7 @@
 //! kept to a single `#[test]` so no concurrent test thread can disturb
 //! the global counter.
 
-use devil_minic::interp::{Host, NullHost};
+use devil_minic::interp::{EffectMark, Host, NullHost};
 use devil_minic::value::Value;
 use devil_minic::vm::Vm;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -171,9 +171,83 @@ fn vm_dispatch_loop_is_allocation_free() {
         "fused dispatch / block builtins allocated {allocs} times (result {result})"
     );
 
+    // Third phase: a host that reports effect marks arms the loop
+    // fast-forward's cycle detector, whose saved state reuses its buffers
+    // once warm — both when it finds no period (the driver loop writes
+    // the heap every iteration) and when it skips one (the polling loop).
+    let program = devil_minic::compile("hot.c", DRIVER_LOOP).expect("hot loop compiles");
+    let compiled = program.to_bytecode();
+    let mut host = Blinking::default();
+    let mut vm = Vm::new(&compiled, &mut host, 10_000_000);
+    vm.call("spin", &[Value::Int(500)]).expect("warm run completes");
+    let (allocs, _) = allocations_during(|| vm.call("spin", &[Value::Int(500)]).unwrap());
+    assert_eq!(allocs, 0, "the armed cycle detector allocated {allocs} times");
+    let program = devil_minic::compile("poll.c", POLL_LOOP).expect("poll loop compiles");
+    let compiled = program.to_bytecode();
+    let mut host = Blinking::default();
+    let mut vm = Vm::new(&compiled, &mut host, 100_000_000);
+    vm.call("wait", &[Value::Int(20)]).expect("warm poll run completes");
+    let skipped = vm.fuel_skipped();
+    assert!(skipped > 0, "the polling loop must fast-forward");
+    let (allocs, _) = allocations_during(|| vm.call("wait", &[Value::Int(20)]).unwrap());
+    assert_eq!(allocs, 0, "fast-forwarding allocated {allocs} times");
+    assert!(vm.fuel_skipped() > skipped, "the hot run fast-forwards too");
+
     // The host side stays live too: reads floated, writes vanished.
     let mut probe = NullHost::default();
     assert_eq!(probe.io_read(0x1F7, 1), 0xFF);
+}
+
+/// Waits for a status port that is busy for 1000 clock ticks, ready for
+/// the next 1000, and so on: the inner loop is pure polling, skipped up
+/// to each change point.
+const POLL_LOOP: &str = "
+int wait(int rounds)
+{
+    int n = 0;
+    while (n < rounds) {
+        while (inb(0x1F7) & 0x80) { }
+        n++;
+        while (!(inb(0x1F7) & 0x80)) { }
+    }
+    return n;
+}
+";
+
+/// A device whose status blinks between busy and ready every 1000 ticks
+/// (one tick per access), with pure reads: it reports effect marks, so
+/// the VM may fast-forward over it.
+#[derive(Default)]
+struct Blinking {
+    clock: u64,
+    reads: u64,
+    writes: u64,
+}
+
+impl Host for Blinking {
+    fn io_read(&mut self, _port: u16, _size: u8) -> i64 {
+        self.clock += 1;
+        self.reads += 1;
+        if (self.clock / 1000).is_multiple_of(2) { 0xD0 } else { 0x58 }
+    }
+    fn io_write(&mut self, _port: u16, _size: u8, _value: i64) {
+        self.clock += 1;
+        self.writes += 1;
+    }
+    fn console(&mut self, _message: &str) {}
+    fn effect_mark(&self) -> Option<EffectMark> {
+        Some(EffectMark {
+            epoch: self.writes,
+            clock: self.clock,
+            reads: self.reads,
+            writes: self.writes,
+            quiet: 1000 - self.clock % 1000,
+        })
+    }
+    fn fast_forward(&mut self, periods: u64, from: &EffectMark, to: &EffectMark) {
+        self.clock += periods * (to.clock - from.clock);
+        self.reads += periods * (to.reads - from.reads);
+    }
 }
 
 /// Per-construct allocation profile — a diagnostic to bisect regressions
